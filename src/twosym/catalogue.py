@@ -20,7 +20,7 @@ from __future__ import annotations
 import time
 import warnings as warnings_module
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator
 
 from .graphs import cancel_block, cancel_block_by_dipoles, embedding_euler
@@ -60,9 +60,10 @@ from .tuples import (
 # -- enumeration ---------------------------------------------------------------
 
 
-def enumerate_admissible(max_complexity: int) -> Iterator[SixTuple]:
-    """Every admissible tuple with complexity at most the bound, ordered
-    by (complexity, lexicographic)."""
+def enumerate_candidates(max_complexity: int) -> Iterator[SixTuple]:
+    """Every valid tuple with complexity at most the bound whose h_i + q_i
+    are all odd, ordered by (complexity, lexicographic): the tuples the
+    {2,3}-residue count decides between."""
     for total in range(3, max_complexity + 1):
         for h0 in range(1, total - 1):
             for h1 in range(1, total - h0):
@@ -74,9 +75,15 @@ def enumerate_admissible(max_complexity: int) -> Iterator[SixTuple]:
                 for q0 in range(starts[0], moduli[0], 2):
                     for q1 in range(starts[1], moduli[1], 2):
                         for q2 in range(starts[2], moduli[2], 2):
-                            f = SixTuple(h0, h1, h2, q0, q1, q2)
-                            if is_admissible(f):
-                                yield f
+                            yield SixTuple(h0, h1, h2, q0, q1, q2)
+
+
+def enumerate_admissible(max_complexity: int) -> Iterator[SixTuple]:
+    """Every admissible tuple with complexity at most the bound, ordered
+    by (complexity, lexicographic)."""
+    for f in enumerate_candidates(max_complexity):
+        if is_admissible(f):
+            yield f
 
 
 def enumerate_canonical(max_complexity: int) -> Iterator[SixTuple]:
@@ -121,9 +128,9 @@ def classify_record(f: SixTuple, orbit_id: int | None = None) -> CatalogueRecord
     """Classify one canonical admissible tuple.
 
     Ambiguity warnings raised while canonicalising relatives are folded
-    into the record instead of escaping, as is a note when the tuple
-    falls outside the growth argument's guard (two vanishing shifts
-    encode a manifold of lower genus)."""
+    into the record, each once, instead of escaping, as is a note when
+    the tuple falls outside the growth argument's guard (two vanishing
+    shifts encode a manifold of lower genus)."""
     notes: list[str] = []
     with warnings_module.catch_warnings(record=True) as caught:
         warnings_module.simplefilter("always")
@@ -135,7 +142,8 @@ def classify_record(f: SixTuple, orbit_id: int | None = None) -> CatalogueRecord
     if zero_q_count(f) > 1:
         notes.append("two vanishing shifts: lower-genus tuple, ascent not applicable")
     return CatalogueRecord(
-        f, f.upsilon, trap, minimal, root, signature, orbit_id, tuple(notes)
+        f, f.upsilon, trap, minimal, root, signature, orbit_id,
+        tuple(dict.fromkeys(notes)),
     )
 
 
@@ -171,13 +179,12 @@ def build_catalogue(max_complexity: int, jobs: int = 1) -> list[CatalogueRecord]
     bound, with orbit ids for the move components visible inside it.
     jobs > 1 classifies in parallel; the output order is identical."""
     canon = list(enumerate_canonical(max_complexity))
+    ids = assign_orbit_ids(canon)
+    orbit_ids = [ids[f] for f in canon]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(classify_record, canon, chunksize=8))
-    else:
-        records = [classify_record(f) for f in canon]
-    ids = assign_orbit_ids(canon)
-    return [replace(r, orbit_id=ids[r.tuple]) for r in records]
+            return list(pool.map(classify_record, canon, orbit_ids, chunksize=8))
+    return [classify_record(f, i) for f, i in zip(canon, orbit_ids)]
 
 
 # -- tab-separated text form -----------------------------------------------------
@@ -367,7 +374,7 @@ def _suite_trap_closure(bound: int):
         elif zero_q_count(f) <= 1:
             try:
                 ascend_witness(f)
-            except (ValueError, AssertionError) as err:
+            except ValueError as err:
                 failures.append(f"no growth witness for {f}: {err}")
         else:
             notes.append(f"guard excluded {f}: two vanishing shifts")

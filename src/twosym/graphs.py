@@ -488,39 +488,6 @@ def find_gluing_blocks(
     return [b for b in find_blocks(g, side_colours, rung_colour) if b.gluing]
 
 
-def block_coherence(
-    block: Block, orient_a: list[int], orient_b: list[int]
-) -> tuple[bool, tuple[int, int] | None]:
-    """Coherence of a block with respect to oriented side cycles.
-
-    orient_a / orient_b are the cyclic vertex orders of the residues
-    containing side_a / side_b.  A length-1 block is always coherent and
-    both vertices are key vertices.  Otherwise the block is coherent when
-    the two sides run against each other: following the orientations, one
-    side is traversed first-to-last rung and the other last-to-first.
-    Returns (coherent, (entry corner on side a, its diagonal on side b)).
-    """
-
-    def direction(side: tuple[int, ...], orient: list[int]) -> int:
-        pos = {v: i for i, v in enumerate(orient)}
-        step = (pos[side[1]] - pos[side[0]]) % len(orient)
-        if step == 1:
-            return 1
-        if step == len(orient) - 1:
-            return -1
-        raise ValueError("side is not a consecutive run in the orientation")
-
-    if block.length == 1:
-        return True, (block.side_a[0], block.side_b[0])
-    da = direction(block.side_a, orient_a)
-    db = direction(block.side_b, orient_b)
-    if da == db:
-        return False, None
-    if da == 1:
-        return True, (block.side_a[0], block.side_b[-1])
-    return True, (block.side_a[-1], block.side_b[0])
-
-
 def cancel_block(g: ColouredGraph, block: Block) -> ColouredGraph:
     """Remove a gluing block and weld the hanging edges.
 

@@ -108,9 +108,11 @@ def smith_normal_form(
 
     diag = [a[i][i] for i in range(min(m, n)) if a[i][i]]
     for i in range(len(diag) - 1):
-        assert diag[i + 1] % diag[i] == 0, "broken divisibility chain"
+        if diag[i + 1] % diag[i]:
+            raise RuntimeError("broken divisibility chain")
     if certify:
-        assert U is not None and V is not None
+        if U is None or V is None:
+            raise RuntimeError("certificate transforms were not tracked")
         prod = [
             [sum(U[i][k] * matrix[k][j] for k in range(m)) for j in range(n)]
             for i in range(m)
@@ -119,7 +121,10 @@ def smith_normal_form(
             [sum(prod[i][k] * V[k][j] for k in range(n)) for j in range(n)]
             for i in range(m)
         ]
-        assert prod == a, "re-multiplication does not reproduce the diagonal form"
+        if prod != a:
+            raise RuntimeError(
+                "re-multiplication does not reproduce the diagonal form"
+            )
     return diag
 
 

@@ -33,19 +33,31 @@ def psi(f: SixTuple, k: int) -> SixTuple:
         raise ValueError(f"psi index must be 1, 2 or 3, got {k}") from None
 
 
+# The relabelling group as (h, q) index maps: psi1^k for k = 0, 1, 2,
+# each alone and followed by psi2.  Each map carries q_i together with
+# its modulus 2l_i, so images need no reduction.  h_orbit applies each
+# map to q and to psi3's negated shifts, giving all twelve elements.
+_DIHEDRAL = (
+    ((0, 1, 2), (0, 1, 2)),
+    ((2, 1, 0), (0, 2, 1)),
+    ((1, 2, 0), (1, 2, 0)),
+    ((0, 2, 1), (1, 0, 2)),
+    ((2, 0, 1), (2, 0, 1)),
+    ((1, 0, 2), (2, 1, 0)),
+)
+
+
 def h_orbit(f: SixTuple) -> list[SixTuple]:
     """Orbit of f under the relabelling group, sorted (size divides 12)."""
-    seen = {f}
-    frontier = [f]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for img in (psi1(g), psi2(g), psi3(g)):
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    return sorted(seen)
+    h = f.h
+    q = f.q
+    negated = (-q[0] % (h[2] + h[0]), -q[1] % (h[0] + h[1]), -q[2] % (h[1] + h[2]))
+    images = {
+        (h[a], h[b], h[c], s[x], s[y], s[z])
+        for (a, b, c), (x, y, z) in _DIHEDRAL
+        for s in (q, negated)
+    }
+    return [SixTuple._trusted(img) for img in sorted(images)]
 
 
 # -- canonical orbit representative -----------------------------------------
@@ -117,7 +129,7 @@ def canonical(f: SixTuple) -> SixTuple:
     fallback = min(g for g in h_orbit(f) if g.h0 <= g.h1 <= g.h2)
     warnings.warn(
         f"representative filter left {len(cands)} candidates on the orbit "
-        f"of {fallback}; falling back to it",
+        f"of {fallback}, falling back to it",
         CanonicalAmbiguity,
         stacklevel=2,
     )

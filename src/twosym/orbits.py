@@ -118,15 +118,16 @@ def is_minimal(f: SixTuple, debug: bool = False) -> bool:
 
     Closed form on the canonical coordinates: q2 < h0, or
     q2 > h1 + h2 - h0, or h0 = h1 < q2 < h2.  With debug=True the
-    move-based form is evaluated too and agreement is asserted.
+    move-based form is evaluated too and disagreement raises
+    RuntimeError.
     """
     _require_canonical(f, "is_minimal")
     require_admissible(f)
     h0, h1, h2 = f.h
     q2 = f.q2
     result = q2 < h0 or q2 > h1 + h2 - h0 or (h0 == h1 and h0 < q2 < h2)
-    if debug:
-        assert result == descent_minimal(f), f"minimality forms disagree on {f}"
+    if debug and result != descent_minimal(f):
+        raise RuntimeError(f"minimality forms disagree on {f}")
     return result
 
 
@@ -139,7 +140,7 @@ def is_root(f: SixTuple, debug: bool = False) -> bool:
     either h0 = h1 < q2 < h2 with q2 distinct from -q0 and (h0+h2)/2 and
     (when q1 = 0) from (h0+h2)/2 - q0, or the same with the roles of q0
     and q2 exchanged.  With debug=True the move-based form is evaluated
-    too and agreement is asserted.
+    too and disagreement raises RuntimeError.
     """
     _require_canonical(f, "is_root")
     require_admissible(f)
@@ -161,8 +162,8 @@ def is_root(f: SixTuple, debug: bool = False) -> bool:
         and (q1 != 0 or q0 != (half - q2) % m)
     )
     result = is_minimal(f) and not tied
-    if debug:
-        assert result == descent_root(f), f"root forms disagree on {f}"
+    if debug and result != descent_root(f):
+        raise RuntimeError(f"root forms disagree on {f}")
     return result
 
 
@@ -225,8 +226,10 @@ def ascend_witness(f: SixTuple) -> SixTuple:
             if witness is not None:
                 break
             strands = [psi1(psi2(sigma(g))) for g in strands]
-    assert witness is not None, f"confinement escape missing for non-trap {f}"
-    assert witness.upsilon == f.upsilon and delta(witness) > 0
+    if witness is None:
+        raise ValueError(f"confinement escape missing for non-trap {f}")
+    if witness.upsilon != f.upsilon or delta(witness) <= 0:
+        raise ValueError(f"witness {witness} does not certify growth of {f}")
     return witness
 
 

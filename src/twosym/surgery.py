@@ -148,14 +148,16 @@ def build_gf(f: SixTuple) -> SurgeryTrace:
     # split each colour-2 edge (1,i-1)-(2,-i) with the i-th rung pair
     for i in range(1, h1 + 1):
         a, b = idx(1, i - 1), idx(2, -i)
-        assert rows[2][a] == b
+        if rows[2][a] != b:
+            raise SurgeryError("ladder", f"no colour-2 edge {a}-{b} to split")
         rows[2][a] = vp(i)
         rows[2][vp(i)] = a
         rows[2][b] = vpp(i)
         rows[2][vpp(i)] = b
     # reroute the colour-1 edge (0,-1)-(0,0) onto the first rung
     u, v = idx(0, -1), idx(0, 0)
-    assert rows[1][v] == u
+    if rows[1][v] != u:
+        raise SurgeryError("ladder", f"no colour-1 edge {v}-{u} to reroute")
     rows[1][v] = vp(1)
     rows[1][vp(1)] = v
     rows[1][u] = vpp(1)
@@ -164,7 +166,8 @@ def build_gf(f: SixTuple) -> SurgeryTrace:
     # matches the parity of h0
     ca = 0 if h0 % 2 else 1
     x, y = idx(0, h0 - 1), idx(0, h0)
-    assert rows[ca][x] == y
+    if rows[ca][x] != y:
+        raise SurgeryError("ladder", f"no colour-{ca} edge {x}-{y} to reroute")
     rows[ca][x] = vp(h1)
     rows[ca][vp(h1)] = x
     rows[ca][y] = vpp(h1)

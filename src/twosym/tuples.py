@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .graphs import COLOURS, ColouredGraph
+from .graphs import ColouredGraph
 
 
 class ConditionError(ValueError):
@@ -46,6 +46,15 @@ class SixTuple:
                 )
         if len({x % 2 for x in q}) != 1:
             raise ConditionError("q parity", f"q must share one parity in {self}")
+
+    @classmethod
+    def _trusted(cls, fields: tuple[int, int, int, int, int, int]) -> SixTuple:
+        """Construct without validation, for images of a valid tuple
+        under maps known to preserve validity (the relabellings)."""
+        f = object.__new__(cls)
+        d = f.__dict__
+        d["h0"], d["h1"], d["h2"], d["q0"], d["q1"], d["q2"] = fields
+        return f
 
     @property
     def h(self) -> tuple[int, int, int]:
@@ -100,41 +109,76 @@ def complexity(f: SixTuple) -> int:
 # -- graph construction ------------------------------------------------------
 
 
+def involution_arrays(f: SixTuple) -> list[list[int]]:
+    """The four colour involutions of f's graph as flat vertex arrays.
+
+    Vertex (i, j), i mod 3 and j mod 2l_i, is numbered off_i + j with
+    the cycles C_0, C_1, C_2 laid out in order.  Colour 0 joins
+    (i,2k)-(i,2k+1) and colour 1 joins (i,2k+1)-(i,2k+2), so the C_i are
+    the {0,1}-cycles; every off_i is even, so colour 0 is v -> v ^ 1.
+    Colours 2 and 3 are laid out by _arrays_23.
+    """
+    inv1: list[int] = []
+    off = 0
+    for i in range(3):
+        m = f.two_l(i)
+        inv1 += [off + (((j - 1) ^ 1) + 1) % m for j in range(m)]
+        off += m
+    return [[v ^ 1 for v in range(off)], inv1, *_arrays_23(f)]
+
+
+def _arrays_23(f: SixTuple) -> tuple[list[int], list[int]]:
+    """Colours 2 and 3 in the layout of involution_arrays.
+
+    Colour 2 sends the first h_i vertices of C_i, in reverse, onto the
+    last h_i vertices of C_{i+1} and the rest onto the first h_{i-1}
+    vertices of C_{i-1}; colour 3 is colour 2 conjugated by the shift
+    rho: (i,j) -> (i, j+q_i).
+    """
+    h, q = f.h, f.q
+    two_l = (h[2] + h[0], h[0] + h[1], h[1] + h[2])
+    off = (0, two_l[0], two_l[0] + two_l[1])
+    inv2: list[int] = []
+    rho: list[int] = []
+    for i in range(3):
+        o, m, s = off[i], two_l[i], q[i]
+        up = off[(i + 1) % 3] + two_l[(i + 1) % 3] - 1
+        down = off[i - 1] + m - 1
+        inv2 += range(up, up - h[i], -1)
+        inv2 += range(down - h[i], down - m, -1)
+        rho += range(o + s, o + m)
+        rho += range(o, o + s)
+    inv3 = [0] * len(inv2)
+    for v, w in enumerate(inv2):
+        inv3[rho[v]] = rho[w]
+    return inv2, inv3
+
+
 @functools.lru_cache(maxsize=None)
 def build_graph(f: SixTuple) -> ColouredGraph:
-    """The 4-coloured graph of f on vertices (i, j), i mod 3, j mod 2l_i.
+    """The 4-coloured graph of f on vertices (i, j), i mod 3, j mod 2l_i,
+    with the involutions of involution_arrays."""
+    labels = tuple((i, j) for i in range(3) for j in range(f.two_l(i)))
+    inv = involution_arrays(f)
+    return ColouredGraph(tuple(tuple(row) for row in inv), labels)
 
-    Colour 0 joins (i,2k)-(i,2k+1) and colour 1 joins (i,2k+1)-(i,2k+2),
-    so the C_i are the {0,1}-cycles.  Colour 2 sends the first h_i
-    vertices of C_i up to C_{i+1} and the rest down to C_{i-1}; colour 3
-    is colour 2 conjugated by the shift (i,j) -> (i, j+q_i).
-    """
-    two_l = [f.two_l(i) for i in range(3)]
-    off = [0, two_l[0], two_l[0] + two_l[1]]
-    n = sum(two_l)
 
-    def idx(i: int, j: int) -> int:
-        i %= 3
-        return off[i] + j % two_l[i]
-
-    def iota2(i: int, j: int) -> tuple[int, int]:
-        j %= two_l[i % 3]
-        if j < f.h[i % 3]:
-            return (i + 1, -j - 1)
-        return (i - 1, two_l[i % 3] - j - 1)
-
-    inv = [[-1] * n for _ in COLOURS]
-    labels = []
-    for i in range(3):
-        for j in range(two_l[i]):
-            v = idx(i, j)
-            labels.append((i, j))
-            inv[0][v] = idx(i, j + 1) if j % 2 == 0 else idx(i, j - 1)
-            inv[1][v] = idx(i, j - 1) if j % 2 == 0 else idx(i, j + 1)
-            inv[2][v] = idx(*iota2(i, j))
-            a, b = iota2(i, j - f.q[i])
-            inv[3][v] = idx(a, b + f.q[a % 3])
-    return ColouredGraph(tuple(tuple(row) for row in inv), tuple(labels))
+def _residue_count(inv_a: list[int], inv_b: list[int]) -> int:
+    """Number of bicoloured cycles of two involutions on one vertex set."""
+    seen = bytearray(len(inv_a))
+    count = 0
+    for v0 in range(len(inv_a)):
+        if seen[v0]:
+            continue
+        count += 1
+        v = v0
+        while True:
+            w = inv_a[v]
+            seen[v] = seen[w] = 1
+            v = inv_b[w]
+            if v == v0:
+                break
+    return count
 
 
 @dataclass(frozen=True)
@@ -152,12 +196,13 @@ class AdmissibilityReport:
 @functools.lru_cache(maxsize=None)
 def admissibility(f: SixTuple) -> AdmissibilityReport:
     """Check the two conditions beyond the constructor's invariants:
-    each h_i + q_i odd, and exactly three {2,3}-residues."""
+    each h_i + q_i odd, and exactly three {2,3}-residues, counted on the
+    colour-2 and colour-3 arrays without building the graph."""
     failures = []
     for i in range(3):
         if (f.h[i] + f.q[i]) % 2 == 0:
             failures.append(f"h+q parity: h{i}+q{i} is even")
-    count = len(build_graph(f).residues((2, 3)))
+    count = _residue_count(*_arrays_23(f))
     if count != 3:
         failures.append(f"{{2,3}}-residue count: {count} (need 3)")
     return AdmissibilityReport(not failures, tuple(failures), count)

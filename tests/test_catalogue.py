@@ -112,11 +112,15 @@ def test_classify_record_validation():
 
 
 def test_tsv_round_trip():
-    records = build_catalogue(7)
+    # complexity 15 holds the first tied orbit, whose note must survive
+    records = build_catalogue(15)
     text = records_to_tsv(records)
     assert text.splitlines()[0].startswith("tuple\tupsilon\ttrap")
     back = records_from_tsv(text)
     assert back == records
+    tied = [r for r in records if any("falling back" in w for w in r.warnings)]
+    assert [str(r.tuple) for r in tied] == ["(5,5,5;0,2,6)"]
+    assert len(tied[0].warnings) == 1
 
 
 def test_tsv_rejects_tampering():

@@ -1,7 +1,13 @@
 """End-to-end checks of the command-line interface and its exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import twosym
 from twosym.cli import main, tuple_from_args
 from twosym import parse_tuple
 
@@ -159,3 +165,19 @@ def test_verify_failure_exits_3(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "laws")
     assert code == 3
     assert "boom" in out
+
+
+def test_verify_under_optimised_python():
+    """The library's correctness checks raise instead of asserting, so a
+    suite still runs them under python -O."""
+    src = str(Path(twosym.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "twosym.cli", "verify", "trap-closure"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "0 failures" in proc.stdout

@@ -20,7 +20,7 @@ from twosym import (
     sigma,
     sigma_neighbors,
 )
-from twosym.catalogue import enumerate_admissible
+from twosym.catalogue import enumerate_admissible, enumerate_candidates
 
 
 def test_psi_formulas():
@@ -48,6 +48,31 @@ def test_orbit_sizes_divide_twelve():
     assert len(h_orbit(parse_tuple("(1,3,3;2,2,2)"))) == 6
     for f in enumerate_admissible(9):
         assert 12 % len(h_orbit(f)) == 0
+
+
+def _generated_orbit(f):
+    """Closure of f under psi1, psi2 and psi3."""
+    seen = {f}
+    frontier = [f]
+    while frontier:
+        g = frontier.pop()
+        for img in (psi1(g), psi2(g), psi3(g)):
+            if img not in seen:
+                seen.add(img)
+                frontier.append(img)
+    return sorted(seen)
+
+
+def test_orbit_is_the_generated_closure():
+    for f in enumerate_candidates(15):
+        assert h_orbit(f) == _generated_orbit(f), f
+
+
+def test_orbit_images_are_valid():
+    """h_orbit builds its images unvalidated; the constructor agrees."""
+    for f in enumerate_candidates(15):
+        for g in h_orbit(f):
+            assert SixTuple(*g.h, *g.q) == g, g
 
 
 def test_orbit_closure():

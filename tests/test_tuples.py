@@ -17,6 +17,7 @@ from twosym import (
     rho_symmetry,
     zero_q_count,
 )
+from twosym.catalogue import enumerate_candidates
 
 
 def test_accessors():
@@ -121,6 +122,14 @@ def test_graph_shape():
     # labels enumerate the cycles C_i in order
     assert g.label(0) == (0, 0)
     assert g.vertex_of_label((1, 0)) == f.two_l(0)
+
+
+def test_residue_count_matches_the_graph():
+    """The array count behind admissibility against the graph's own
+    residue partition, on every scan candidate up to complexity 15."""
+    for f in enumerate_candidates(15):
+        count = len(build_graph(f).residues((2, 3)))
+        assert admissibility(f).residues_23 == count, f
 
 
 def test_graph_residue_counts():
