@@ -18,8 +18,6 @@ its documented complexity bound, and reports a structured pass/fail.
 from __future__ import annotations
 
 import time
-import warnings as warnings_module
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -63,7 +61,8 @@ from .tuples import (
 def enumerate_candidates(max_complexity: int) -> Iterator[SixTuple]:
     """Every valid tuple with complexity at most the bound whose h_i + q_i
     are all odd, ordered by (complexity, lexicographic): the tuples the
-    {2,3}-residue count decides between."""
+    {2,3}-residue count decides between.  The loops produce only valid
+    tuples, so they are built without re-validation."""
     for total in range(3, max_complexity + 1):
         for h0 in range(1, total - 1):
             for h1 in range(1, total - h0):
@@ -75,7 +74,7 @@ def enumerate_candidates(max_complexity: int) -> Iterator[SixTuple]:
                 for q0 in range(starts[0], moduli[0], 2):
                     for q1 in range(starts[1], moduli[1], 2):
                         for q2 in range(starts[2], moduli[2], 2):
-                            yield SixTuple(h0, h1, h2, q0, q1, q2)
+                            yield SixTuple._trusted((h0, h1, h2, q0, q1, q2))
 
 
 def enumerate_admissible(max_complexity: int) -> Iterator[SixTuple]:
@@ -127,23 +126,14 @@ class CatalogueRecord:
 def classify_record(f: SixTuple, orbit_id: int | None = None) -> CatalogueRecord:
     """Classify one canonical admissible tuple.
 
-    Ambiguity warnings raised while canonicalising relatives are folded
-    into the record, each once, instead of escaping, as is a note when
-    the tuple falls outside the growth argument's guard (two vanishing
-    shifts encode a manifold of lower genus)."""
-    notes: list[str] = []
-    with warnings_module.catch_warnings(record=True) as caught:
-        warnings_module.simplefilter("always")
-        trap = is_trap(f)
-        minimal = is_minimal(f)
-        root = is_root(f)
-        signature = h1(build_graph(f))
-    notes.extend(str(w.message) for w in caught)
+    The record's only note marks a tuple outside the growth argument's
+    guard (two vanishing shifts encode a manifold of lower genus)."""
+    notes = ()
     if zero_q_count(f) > 1:
-        notes.append("two vanishing shifts: lower-genus tuple, ascent not applicable")
+        notes = ("two vanishing shifts: lower-genus tuple, ascent not applicable",)
     return CatalogueRecord(
-        f, f.upsilon, trap, minimal, root, signature, orbit_id,
-        tuple(dict.fromkeys(notes)),
+        f, f.upsilon, is_trap(f), is_minimal(f), is_root(f),
+        h1(build_graph(f)), orbit_id, notes,
     )
 
 
@@ -174,17 +164,13 @@ def assign_orbit_ids(tuples: list[SixTuple]) -> dict[SixTuple, int]:
     return ids
 
 
-def build_catalogue(max_complexity: int, jobs: int = 1) -> list[CatalogueRecord]:
+def build_catalogue(max_complexity: int) -> list[CatalogueRecord]:
     """Classified records for every canonical admissible tuple up to the
-    bound, with orbit ids for the move components visible inside it.
-    jobs > 1 classifies in parallel; the output order is identical."""
+    bound, in (complexity, lex) order, with orbit ids for the move
+    components visible inside it."""
     canon = list(enumerate_canonical(max_complexity))
     ids = assign_orbit_ids(canon)
-    orbit_ids = [ids[f] for f in canon]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(classify_record, canon, orbit_ids, chunksize=8))
-    return [classify_record(f, i) for f, i in zip(canon, orbit_ids)]
+    return [classify_record(f, ids[f]) for f in canon]
 
 
 # -- tab-separated text form -----------------------------------------------------
@@ -440,15 +426,7 @@ def run_suite(name: str) -> SuiteReport:
         known = ", ".join(sorted(SUITES))
         raise ValueError(f"unknown suite {name!r}; choose one of: {known}") from None
     start = time.perf_counter()
-    with warnings_module.catch_warnings(record=True) as caught:
-        warnings_module.simplefilter("always")
-        checked, failures, notes = body(bound)
-    seen = set(notes)
-    for w in caught:
-        msg = str(w.message)
-        if msg not in seen:
-            seen.add(msg)
-            notes.append(msg)
+    checked, failures, notes = body(bound)
     return SuiteReport(
         name, checked, tuple(failures), tuple(notes), time.perf_counter() - start
     )

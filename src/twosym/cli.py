@@ -4,7 +4,8 @@ Subcommands cover the library surface: admissibility checking, graph
 export, the move and the relabelling maps, classification, orbit
 exploration, greedy minimization, catalogue generation and the named
 verification suites.  Exit codes: 0 success, 1 usage error, 2
-validation failure (bad or inadmissible input), 3 suite failure.
+validation failure (bad or inadmissible input, or a tuple whose
+complexity exceeds MAX_TUPLE_COMPLEXITY), 3 suite failure.
 """
 
 from __future__ import annotations
@@ -31,15 +32,28 @@ from .tuples import (
 )
 
 
+# Largest complexity h0 + h1 + h2 a command accepts.  The graph has
+# 2 * complexity vertices, so this bounds what one command allocates;
+# it sits far above anything the library is exercised on (a few hundred).
+MAX_TUPLE_COMPLEXITY = 100_000
+
+
 def tuple_from_args(parts: list[str]) -> SixTuple:
-    """Accept one quoted "(h0,h1,h2;q0,q1,q2)" or six bare integers."""
+    """Accept one quoted "(h0,h1,h2;q0,q1,q2)" or six bare integers, of
+    complexity at most MAX_TUPLE_COMPLEXITY."""
     if len(parts) == 1:
-        return parse_tuple(parts[0])
-    if len(parts) == 6:
-        return SixTuple(*(int(p) for p in parts))
-    raise ValueError(
-        f"expected one tuple string or six integers, got {len(parts)} arguments"
-    )
+        f = parse_tuple(parts[0])
+    elif len(parts) == 6:
+        f = SixTuple(*(int(p) for p in parts))
+    else:
+        raise ValueError(
+            f"expected one tuple string or six integers, got {len(parts)} arguments"
+        )
+    if f.upsilon > MAX_TUPLE_COMPLEXITY:
+        raise ValueError(
+            f"complexity {f.upsilon} of {f} exceeds the limit {MAX_TUPLE_COMPLEXITY}"
+        )
+    return f
 
 
 def _add_tuple_argument(sub: argparse.ArgumentParser) -> None:
@@ -159,7 +173,7 @@ def _cmd_minimize(args) -> int:
 
 
 def _cmd_catalogue(args) -> int:
-    records = build_catalogue(args.max_complexity, jobs=args.jobs)
+    records = build_catalogue(args.max_complexity)
     text = records_to_tsv(records)
     if args.out == "-":
         print(text, end="")
@@ -237,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("catalogue", help="classify all canonical tuples")
     sub.add_argument("--max-complexity", type=int, required=True)
     sub.add_argument("--out", default="-", help="output file, - for stdout")
-    sub.add_argument("--jobs", type=int, default=1)
     sub.set_defaults(handler=_cmd_catalogue)
 
     sub = commands.add_parser("verify", help="run a named verification suite")

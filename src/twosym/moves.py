@@ -9,8 +9,6 @@ the complexity by delta; it is the identity exactly when q0 = 0.
 
 from __future__ import annotations
 
-import warnings
-
 from .tuples import ConditionError, SixTuple, require_admissible
 
 
@@ -63,10 +61,6 @@ def h_orbit(f: SixTuple) -> list[SixTuple]:
 # -- canonical orbit representative -----------------------------------------
 
 
-class CanonicalAmbiguity(UserWarning):
-    """The representative filter did not single out one orbit member."""
-
-
 def _neg_rep(q: int, mod: int) -> int:
     """Representative of -q in {1, ..., mod} used for upper bounds."""
     return mod - q if q else mod
@@ -82,6 +76,9 @@ def passes_representative_filter(g: SixTuple) -> bool:
     q2 (resp. q1) equals the negative of q0: equality with +q0 leaves
     the member fixed by the extra relabelling, so there is no tie to
     break, and demanding the break there would reject whole orbits.
+    With all h equal and q0 = 0, psi2 psi3 fixes q0 and sends (q1, q2)
+    to (-q2, -q1), which maps q1 + q2 to 4h0 - (q1 + q2) when nonzero;
+    requiring q1 + q2 <= 2h0 keeps one member of each such pair.
     """
     h0, h1, h2 = g.h
     q0, q1, q2 = g.q
@@ -107,7 +104,7 @@ def passes_representative_filter(g: SixTuple) -> bool:
             return False
         if q1 == _neg_rep(q0, m) and q2 > h2:
             return False
-    if h0 == h1 == h2 and q1 > q2:
+    if h0 == h1 == h2 and (q1 > q2 or (q0 == 0 and q1 + q2 > 2 * h0)):
         return False
     return True
 
@@ -117,23 +114,19 @@ def canonical_candidates(f: SixTuple) -> list[SixTuple]:
 
 
 def canonical(f: SixTuple) -> SixTuple:
-    """The distinguished member of f's relabelling orbit.
+    """The distinguished member of f's relabelling orbit: the one orbit
+    member that passes the representative filter.
 
-    The filter is expected to single out exactly one member for every
-    admissible tuple; if it does not, a warning is emitted and the
-    lexicographically least orbit member with sorted h is returned.
+    The filter is complete (checked exhaustively to complexity 27), so
+    a count other than one is a bug and raises RuntimeError.
     """
     cands = canonical_candidates(f)
-    if len(cands) == 1:
-        return cands[0]
-    fallback = min(g for g in h_orbit(f) if g.h0 <= g.h1 <= g.h2)
-    warnings.warn(
-        f"representative filter left {len(cands)} candidates on the orbit "
-        f"of {fallback}, falling back to it",
-        CanonicalAmbiguity,
-        stacklevel=2,
-    )
-    return fallback
+    if len(cands) != 1:
+        raise RuntimeError(
+            f"representative filter left {len(cands)} candidates on the "
+            f"orbit of {f}"
+        )
+    return cands[0]
 
 
 def is_canonical(f: SixTuple) -> bool:

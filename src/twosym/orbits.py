@@ -113,25 +113,21 @@ def descent_root(f: SixTuple) -> bool:
     return True
 
 
-def is_minimal(f: SixTuple, debug: bool = False) -> bool:
+def is_minimal(f: SixTuple) -> bool:
     """Whether no tuple in f's move orbit has lower complexity.
 
     Closed form on the canonical coordinates: q2 < h0, or
-    q2 > h1 + h2 - h0, or h0 = h1 < q2 < h2.  With debug=True the
-    move-based form is evaluated too and disagreement raises
-    RuntimeError.
+    q2 > h1 + h2 - h0, or h0 = h1 < q2 < h2.  The minimality-agreement
+    suite checks it against descent_minimal.
     """
     _require_canonical(f, "is_minimal")
     require_admissible(f)
     h0, h1, h2 = f.h
     q2 = f.q2
-    result = q2 < h0 or q2 > h1 + h2 - h0 or (h0 == h1 and h0 < q2 < h2)
-    if debug and result != descent_minimal(f):
-        raise RuntimeError(f"minimality forms disagree on {f}")
-    return result
+    return q2 < h0 or q2 > h1 + h2 - h0 or (h0 == h1 and h0 < q2 < h2)
 
 
-def is_root(f: SixTuple, debug: bool = False) -> bool:
+def is_root(f: SixTuple) -> bool:
     """Whether f is the unique least-complexity canonical tuple of its
     move orbit.
 
@@ -139,8 +135,8 @@ def is_root(f: SixTuple, debug: bool = False) -> bool:
     (the common shift modulus once h0 = h1) and writing negations mod m:
     either h0 = h1 < q2 < h2 with q2 distinct from -q0 and (h0+h2)/2 and
     (when q1 = 0) from (h0+h2)/2 - q0, or the same with the roles of q0
-    and q2 exchanged.  With debug=True the move-based form is evaluated
-    too and disagreement raises RuntimeError.
+    and q2 exchanged.  The minimality-agreement suite checks it against
+    descent_root.
     """
     _require_canonical(f, "is_root")
     require_admissible(f)
@@ -161,10 +157,7 @@ def is_root(f: SixTuple, debug: bool = False) -> bool:
         and q0 != half
         and (q1 != 0 or q0 != (half - q2) % m)
     )
-    result = is_minimal(f) and not tied
-    if debug and result != descent_root(f):
-        raise RuntimeError(f"root forms disagree on {f}")
-    return result
+    return is_minimal(f) and not tied
 
 
 def minimize(f: SixTuple) -> SixTuple:

@@ -9,10 +9,7 @@ import math
 import time
 import warnings
 
-import pytest
-
 from twosym import (
-    CanonicalAmbiguity,
     ascend_witness,
     build_graph,
     canonical,
@@ -142,8 +139,8 @@ def test_10_gem_sanity():
 
 def test_11_canonical_uniqueness():
     """The representative filter isolates exactly one member of each of
-    the 197 orbits up to complexity 13 with no ambiguity warnings; the
-    deterministic fallback is exercised on a deeper tied orbit."""
+    the 197 orbits up to complexity 13 with no warnings; a deeper orbit
+    whose tie only the q0 = 0 rule breaks resolves without one too."""
     report = suite_ok("canonical-uniqueness")
     assert report.checked == 197
     assert report.notes == ()
@@ -152,17 +149,17 @@ def test_11_canonical_uniqueness():
     count = 0
     for f in enumerate_canonical(13):
         with warnings.catch_warnings():
-            warnings.simplefilter("error", CanonicalAmbiguity)
+            warnings.simplefilter("error")
             assert canonical_candidates(f) == [f]
         assert f not in seen
         seen.add(f)
         count += 1
     assert count == 197
 
-    # fallback: a tied orbit the filter cannot split warns and resolves
-    # to the lexicographic minimum, deterministically
+    # the all-equal-h, q0 = 0 tie: resolved by the filter, no warning
     tied = parse_tuple("(5,5,5;0,4,8)")
-    with pytest.warns(CanonicalAmbiguity):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert canonical(tied) == parse_tuple("(5,5,5;0,2,6)")
 
 

@@ -112,15 +112,18 @@ def test_classify_record_validation():
 
 
 def test_tsv_round_trip():
-    # complexity 15 holds the first tied orbit, whose note must survive
+    # lower-genus tuples carry a note, which must survive
     records = build_catalogue(15)
     text = records_to_tsv(records)
     assert text.splitlines()[0].startswith("tuple\tupsilon\ttrap")
     back = records_from_tsv(text)
     assert back == records
-    tied = [r for r in records if any("falling back" in w for w in r.warnings)]
-    assert [str(r.tuple) for r in tied] == ["(5,5,5;0,2,6)"]
-    assert len(tied[0].warnings) == 1
+    noted = [r for r in back if r.warnings]
+    assert noted
+    assert all(
+        r.warnings == ("two vanishing shifts: lower-genus tuple, ascent not applicable",)
+        for r in noted
+    )
 
 
 def test_tsv_rejects_tampering():
@@ -131,10 +134,6 @@ def test_tsv_rejects_tampering():
     # flipping a stored trap flag contradicts the recomputation
     with pytest.raises(ValueError):
         records_from_tsv(text.replace("\ttrue\t1,1\t", "\tfalse\t\t"))
-
-
-def test_parallel_catalogue_matches_serial():
-    assert build_catalogue(7, jobs=2) == build_catalogue(7)
 
 
 def test_run_suite_unknown_name():

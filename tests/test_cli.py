@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -42,6 +43,16 @@ def test_check_invalid_tuple_exits_2(capsys):
     code, _, err = run(capsys, "check", "(-1,3,3;2,2,2)")
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_check_oversize_tuple_exits_2(capsys):
+    """Complexity is checked before any array or graph is built."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check", "(999999,999999,999999;0,0,0)")
+    assert code == 2
+    assert out == ""
+    assert "exceeds the limit" in err
+    assert time.perf_counter() - start < 1.0
 
 
 def test_usage_errors_exit_1(capsys):

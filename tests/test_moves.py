@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from twosym import (
-    CanonicalAmbiguity,
+    SUITES,
     SixTuple,
     canonical,
     canonical_candidates,
@@ -69,8 +69,10 @@ def test_orbit_is_the_generated_closure():
 
 
 def test_orbit_images_are_valid():
-    """h_orbit builds its images unvalidated; the constructor agrees."""
+    """The scan and h_orbit build their tuples unvalidated; the
+    constructor agrees on every one."""
     for f in enumerate_candidates(15):
+        assert SixTuple(*f.h, *f.q) == f, f
         for g in h_orbit(f):
             assert SixTuple(*g.h, *g.q) == g, g
 
@@ -118,17 +120,20 @@ def test_unique_candidate_everywhere_small():
         assert len(canonical_candidates(f)) == 1
 
 
-def test_ambiguous_orbit_falls_back_deterministically():
-    """A negation/swap tie the filter cannot see: both members pass, the
-    fallback picks the lexicographic minimum and warns."""
-    amb = parse_tuple("(5,5,5;0,2,6)")
-    other = parse_tuple("(5,5,5;0,4,8)")
-    cands = canonical_candidates(amb)
-    assert sorted(map(str, cands)) == ["(5,5,5;0,2,6)", "(5,5,5;0,4,8)"]
-    with pytest.warns(CanonicalAmbiguity):
-        assert canonical(other) == amb
-    with pytest.warns(CanonicalAmbiguity):
-        assert canonical(amb) == amb
+def test_equal_h_zero_shift_ties_are_broken():
+    """With all h equal and q0 = 0, psi2 psi3 swaps (q1, q2) with
+    (-q2, -q1); the filter keeps the member with q1 + q2 <= 2h0.  The
+    first three such tied orbits appear by complexity 23."""
+    kept = parse_tuple("(5,5,5;0,2,6)")
+    assert canonical_candidates(kept) == [kept]
+    checked, failures, _ = SUITES["canonical-uniqueness"][0](23)
+    assert (checked, failures) == (4741, [])
+    for src, dst in [
+        ("(5,5,5;0,4,8)", "(5,5,5;0,2,6)"),
+        ("(7,7,7;0,6,12)", "(7,7,7;0,2,8)"),
+        ("(7,7,7;0,4,12)", "(7,7,7;0,2,10)"),
+    ]:
+        assert canonical(parse_tuple(src)) == parse_tuple(dst)
 
 
 def test_delta_rotations():

@@ -60,14 +60,16 @@ def test_minimality_closed_form_and_examples():
     assert is_minimal(parse_tuple("(2,2,2;1,1,3)"))
     assert is_minimal(parse_tuple("(1,1,3;2,0,2)"))
     assert not is_minimal(parse_tuple("(1,3,3;2,2,2)"))
-    assert is_minimal(parse_tuple("(2,2,2;1,1,3)"), debug=True)
+    f = parse_tuple("(2,2,2;1,1,3)")
+    assert is_minimal(f) == descent_minimal(f)
 
 
 def test_root_examples():
     assert is_root(parse_tuple("(2,2,2;1,1,3)"))
     assert is_root(parse_tuple("(1,1,3;2,0,2)"))
     assert not is_root(parse_tuple("(1,3,3;2,2,2)"))  # not even minimal
-    assert is_root(parse_tuple("(2,2,2;1,1,3)"), debug=True)
+    f = parse_tuple("(2,2,2;1,1,3)")
+    assert is_root(f) == descent_root(f)
 
 
 def test_two_minimal_tuples_in_one_component_are_not_roots():
