@@ -4,8 +4,9 @@ Subcommands cover the library surface: admissibility checking, graph
 export, the move and the relabelling maps, classification, orbit
 exploration, greedy minimization, catalogue generation and the named
 verification suites.  Exit codes: 0 success, 1 usage error, 2
-validation failure (bad or inadmissible input, or a tuple whose
-complexity exceeds MAX_TUPLE_COMPLEXITY), 3 suite failure.
+validation failure (bad or inadmissible input, a tuple whose
+complexity exceeds MAX_TUPLE_COMPLEXITY, or a bound above its MAX_*
+ceiling), 3 suite failure.
 """
 
 from __future__ import annotations
@@ -36,6 +37,24 @@ from .tuples import (
 # 2 * complexity vertices, so this bounds what one command allocates;
 # it sits far above anything the library is exercised on (a few hundred).
 MAX_TUPLE_COMPLEXITY = 100_000
+
+# Largest `catalogue --max-complexity`.  Time and memory grow about 4x
+# and 2.3x per 4 steps of complexity: the bound 29 took 25-32 s and
+# peaked at 296 MB.
+MAX_CATALOGUE_COMPLEXITY = 29
+
+# Largest `orbit --max-nodes`: ten times the default.  A walk of that
+# many nodes took about 380 s and peaked near 220 MB.  `orbit
+# --max-complexity` may be at most MAX_TUPLE_COMPLEXITY, since its nodes
+# are tuples.
+MAX_ORBIT_NODES = 100_000
+
+
+def _at_most(value: int, limit: int, option: str) -> int:
+    """value, or a ValueError (exit 2) when it exceeds the limit."""
+    if value > limit:
+        raise ValueError(f"{option} {value} exceeds the limit {limit}")
+    return value
 
 
 def tuple_from_args(parts: list[str]) -> SixTuple:
@@ -152,9 +171,11 @@ def _orbit_dot(graph: OrbitGraph) -> str:
 
 
 def _cmd_orbit(args) -> int:
-    graph = explore(
-        tuple_from_args(args.tuple), args.max_complexity, args.max_nodes
+    max_complexity = _at_most(
+        args.max_complexity, MAX_TUPLE_COMPLEXITY, "--max-complexity"
     )
+    max_nodes = _at_most(args.max_nodes, MAX_ORBIT_NODES, "--max-nodes")
+    graph = explore(tuple_from_args(args.tuple), max_complexity, max_nodes)
     out = _orbit_dot(graph) if args.format == "dot" else _orbit_tsv(graph)
     print(out, end="")
     status = "closed" if graph.closed else (
@@ -173,7 +194,9 @@ def _cmd_minimize(args) -> int:
 
 
 def _cmd_catalogue(args) -> int:
-    records = build_catalogue(args.max_complexity)
+    records = build_catalogue(
+        _at_most(args.max_complexity, MAX_CATALOGUE_COMPLEXITY, "--max-complexity")
+    )
     text = records_to_tsv(records)
     if args.out == "-":
         print(text, end="")
@@ -239,8 +262,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("orbit", help="bounded orbit exploration")
     _add_tuple_argument(sub)
-    sub.add_argument("--max-complexity", type=int, required=True)
-    sub.add_argument("--max-nodes", type=int, default=10_000)
+    sub.add_argument(
+        "--max-complexity",
+        type=int,
+        required=True,
+        help=f"at most {MAX_TUPLE_COMPLEXITY}",
+    )
+    sub.add_argument(
+        "--max-nodes", type=int, default=10_000, help=f"at most {MAX_ORBIT_NODES}"
+    )
     sub.add_argument("--format", choices=("tsv", "dot"), default="tsv")
     sub.set_defaults(handler=_cmd_orbit)
 
@@ -249,7 +279,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(handler=_cmd_minimize)
 
     sub = commands.add_parser("catalogue", help="classify all canonical tuples")
-    sub.add_argument("--max-complexity", type=int, required=True)
+    sub.add_argument(
+        "--max-complexity",
+        type=int,
+        required=True,
+        help=f"at most {MAX_CATALOGUE_COMPLEXITY}",
+    )
     sub.add_argument("--out", default="-", help="output file, - for stdout")
     sub.set_defaults(handler=_cmd_catalogue)
 

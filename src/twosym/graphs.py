@@ -10,6 +10,7 @@ exactly when the graph is bipartite.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 COLOURS = (0, 1, 2, 3)
@@ -233,25 +234,71 @@ def permute_colours(
 # -- colour-preserving isomorphism -----------------------------------------
 
 
+def _cycle_lengths(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
+    """length[v] = number of vertices on v's {a,b}-bicoloured cycle.
+
+    The cycle through v0 alternates colours, so it is v0's orbit under
+    b after a together with the a-images of that orbit."""
+    length = [0] * len(a)
+    for v0 in range(len(a)):
+        if length[v0]:
+            continue
+        orbit = [v0]
+        v = b[a[v0]]
+        while v != v0:
+            orbit.append(v)
+            v = b[a[v]]
+        k = 2 * len(orbit)
+        for v in orbit:
+            length[v] = length[a[v]] = k
+    return length
+
+
+def _signatures(g: ColouredGraph) -> list[tuple[int, ...]]:
+    """Per vertex, the lengths of its {0,2}-, {0,3}-, {1,2}- and
+    {1,3}-cycles."""
+    inv = g.involutions
+    pairs = ((0, 2), (0, 3), (1, 2), (1, 3))
+    return list(zip(*(_cycle_lengths(inv[c], inv[d]) for c, d in pairs)))
+
+
 def cp_isomorphic(g1: ColouredGraph, g2: ColouredGraph) -> list[int] | None:
     """Colour-preserving isomorphism g1 -> g2 as a vertex map, or None.
 
-    Anchors vertex 0 of g1 on each vertex of g2 in turn and propagates
-    the forced images breadth-first.  Inputs must be connected.
+    Every vertex gets a signature: the lengths of its {0,2}-, {0,3}-,
+    {1,2}- and {1,3}-cycles.  A colour-preserving isomorphism maps each
+    bicoloured cycle onto one of the same length, so it preserves
+    signatures.  The g1 vertex with the rarest signature (ties to the
+    smallest vertex) is anchored on each g2 vertex of that signature in
+    turn, and the forced images are propagated; a propagation that
+    completes is a verified isomorphism.  So a map comes back exactly
+    when one exists, and on graphs whose signatures vary this tries a
+    handful of anchors instead of all n.
+
+    Inputs must be connected.  A disconnected input raises ValueError,
+    but connectivity is only tested where the search depends on it: when
+    a propagation succeeds without reaching every vertex, and before
+    answering None.
     """
     if g1.n != g2.n:
         return None
     if g1.n == 0:
         return []
-    if not (g1.is_connected() and g2.is_connected()):
-        raise ValueError("cp_isomorphic expects connected graphs")
     n = g1.n
+    sig1 = _signatures(g1)
+    sig2 = _signatures(g2)
+    counts = Counter(sig1)
+    rarest = min(counts.values())
+    anchor = next(v for v in range(n) if counts[sig1[v]] == rarest)
+    anchor_sig = sig1[anchor]
     for target in range(n):
+        if sig2[target] != anchor_sig:
+            continue
         phi = [-1] * n
         used = [False] * n
-        phi[0] = target
+        phi[anchor] = target
         used[target] = True
-        queue = [0]
+        queue = [anchor]
         ok = True
         while queue and ok:
             v = queue.pop()
@@ -268,8 +315,12 @@ def cp_isomorphic(g1: ColouredGraph, g2: ColouredGraph) -> list[int] | None:
                 elif phi[a] != b:
                     ok = False
                     break
-        if ok and all(x != -1 for x in phi):
+        if ok:
+            if -1 in phi:
+                raise ValueError("cp_isomorphic expects connected graphs")
             return phi
+    if not (g1.is_connected() and g2.is_connected()):
+        raise ValueError("cp_isomorphic expects connected graphs")
     return None
 
 
@@ -424,6 +475,7 @@ def find_blocks(
             continue
         # walk in both directions with alternating side colours
         chain = [start]
+        rungs = {frozenset(start)}
         closed = False
         for first_c, grow_front in ((p, False), (q, True)):
             cur, c = start, first_c
@@ -431,19 +483,19 @@ def find_blocks(
                 nxt = neighbour(cur, c)
                 if nxt is None or frozenset(nxt) == frozenset(cur):
                     break
-                if frozenset(nxt) in {frozenset(r) for r in chain}:
+                if frozenset(nxt) in rungs:
                     closed = True
                     break
                 if grow_front:
                     chain.insert(0, nxt)
                 else:
                     chain.append(nxt)
+                rungs.add(frozenset(nxt))
                 cur = nxt
                 c = p if c == q else q
             if closed:
                 break
-        for r in chain:
-            done.add(frozenset(r))
+        done |= rungs
         if closed:
             continue
         # orient the two sides consistently along the chain

@@ -9,7 +9,13 @@ from pathlib import Path
 import pytest
 
 import twosym
-from twosym.cli import main, tuple_from_args
+from twosym.cli import (
+    MAX_CATALOGUE_COMPLEXITY,
+    MAX_ORBIT_NODES,
+    MAX_TUPLE_COMPLEXITY,
+    main,
+    tuple_from_args,
+)
 from twosym import parse_tuple
 
 
@@ -53,6 +59,49 @@ def test_check_oversize_tuple_exits_2(capsys):
     assert out == ""
     assert "exceeds the limit" in err
     assert time.perf_counter() - start < 1.0
+
+
+def test_catalogue_complexity_ceiling_exits_2(capsys, monkeypatch):
+    """The bound is checked before any enumeration starts."""
+    import twosym.cli as cli
+
+    started = []
+
+    def record(bound):
+        started.append(bound)
+        return []
+
+    monkeypatch.setattr(cli, "build_catalogue", record)
+    ceiling = MAX_CATALOGUE_COMPLEXITY
+    code, out, err = run(capsys, "catalogue", "--max-complexity", str(ceiling + 1))
+    assert code == 2
+    assert out == ""
+    assert "--max-complexity" in err and "exceeds the limit" in err
+    assert started == []
+    assert run(capsys, "catalogue", "--max-complexity", str(ceiling))[0] == 0
+    assert started == [ceiling]
+
+
+@pytest.mark.parametrize(
+    "bounds,option",
+    [
+        (["--max-complexity", str(MAX_TUPLE_COMPLEXITY + 1)], "--max-complexity"),
+        (["--max-complexity", "9", "--max-nodes", str(MAX_ORBIT_NODES + 1)],
+         "--max-nodes"),
+    ],
+)
+def test_orbit_ceilings_exit_2(capsys, monkeypatch, bounds, option):
+    """Each orbit bound is checked before the exploration starts."""
+    import twosym.cli as cli
+
+    def unreachable(*args):
+        raise AssertionError("exploration started")
+
+    monkeypatch.setattr(cli, "explore", unreachable)
+    code, out, err = run(capsys, "orbit", "(1,3,3;2,2,2)", *bounds)
+    assert code == 2
+    assert out == ""
+    assert option in err and "exceeds the limit" in err
 
 
 def test_usage_errors_exit_1(capsys):

@@ -22,12 +22,78 @@ from twosym import (
     permute_colours,
     to_dot,
 )
-from twosym.graphs import sphere_defects
+import twosym.surgery
+from twosym.catalogue import enumerate_admissible
+from twosym.graphs import _signatures, sphere_defects
 from twosym.surgery import build_gf
 
 
 def graph(text):
     return build_graph(parse_tuple(text))
+
+
+def all_anchors_isomorphism(g1, g2):
+    """Reference search: anchor vertex 0 of g1 on every vertex of g2 in
+    turn and propagate the forced images (the O(n^2) search that
+    signature anchoring replaced)."""
+    if g1.n != g2.n:
+        return None
+    if g1.n == 0:
+        return []
+    if not (g1.is_connected() and g2.is_connected()):
+        raise ValueError("expects connected graphs")
+    n = g1.n
+    for target in range(n):
+        phi = [-1] * n
+        used = [False] * n
+        phi[0] = target
+        used[target] = True
+        queue = [0]
+        ok = True
+        while queue and ok:
+            v = queue.pop()
+            for c in COLOURS:
+                a = g1.involutions[c][v]
+                b = g2.involutions[c][phi[v]]
+                if phi[a] == -1:
+                    if used[b]:
+                        ok = False
+                        break
+                    phi[a] = b
+                    used[b] = True
+                    queue.append(a)
+                elif phi[a] != b:
+                    ok = False
+                    break
+        if ok and all(x != -1 for x in phi):
+            return phi
+    return None
+
+
+def is_colour_preserving_bijection(phi, g1, g2):
+    return sorted(phi) == list(range(g2.n)) and all(
+        phi[g1.involutions[c][v]] == g2.involutions[c][phi[v]]
+        for c in COLOURS
+        for v in range(g1.n)
+    )
+
+
+def relabelled(g, perm):
+    """The graph g with vertex v renamed perm[v]."""
+    rows = [[0] * g.n for _ in COLOURS]
+    for c in COLOURS:
+        for v in range(g.n):
+            rows[c][perm[v]] = perm[g.involutions[c][v]]
+    return ColouredGraph(tuple(tuple(r) for r in rows), None)
+
+
+def disjoint_union(g, h):
+    return ColouredGraph(
+        tuple(
+            g.involutions[c] + tuple(w + g.n for w in h.involutions[c])
+            for c in COLOURS
+        )
+    )
 
 
 def test_basic_residue_structure():
@@ -105,19 +171,9 @@ def test_colour_permutation_round_trip():
 def test_cp_isomorphic_finds_relabellings():
     g = graph("(1,3,3;2,2,2)")
     assert cp_isomorphic(g, g) is not None
-    relab = [(v + 5) % g.n for v in range(g.n)]
-    rows = [[0] * g.n for _ in COLOURS]
-    for c in COLOURS:
-        for v in range(g.n):
-            rows[c][relab[v]] = relab[g.involutions[c][v]]
-    h = ColouredGraph(tuple(tuple(r) for r in rows), None)
+    h = relabelled(g, [(v + 5) % g.n for v in range(g.n)])
     m = cp_isomorphic(g, h)
-    assert m is not None
-    assert all(
-        m[g.involutions[c][v]] == h.involutions[c][m[v]]
-        for c in COLOURS
-        for v in range(g.n)
-    )
+    assert m is not None and is_colour_preserving_bijection(m, g, h)
 
 
 def test_cp_isomorphic_respects_colours():
@@ -127,6 +183,65 @@ def test_cp_isomorphic_respects_colours():
     assert cp_isomorphic(g, permute_colours(g, (1, 0, 2, 3))) is None
     sym = graph("(1,1,3;2,0,2)")
     assert cp_isomorphic(sym, permute_colours(sym, (1, 0, 2, 3))) is not None
+
+
+def test_cp_isomorphic_agrees_with_all_anchors_on_surgery_pairs(monkeypatch):
+    """Every pair the surgery check compares, for the moving admissible
+    tuples up to complexity 11: the signature-anchored search finds a map
+    exactly when the all-anchors reference does, and each map it returns
+    is a colour-preserving bijection."""
+    pairs = []
+
+    def record(g1, g2):
+        pairs.append((g1, g2))
+        return cp_isomorphic(g1, g2)
+
+    monkeypatch.setattr(twosym.surgery, "cp_isomorphic", record)
+    for f in enumerate_admissible(11):
+        if f.q0 != 0:
+            twosym.surgery.verify_sigma_constructively(f)
+    assert len(pairs) == 3154
+    found = 0
+    for g1, g2 in pairs:
+        phi = cp_isomorphic(g1, g2)
+        assert (phi is None) == (all_anchors_isomorphism(g1, g2) is None)
+        if phi is not None:
+            found += 1
+            assert is_colour_preserving_bijection(phi, g1, g2)
+    assert 0 < found < len(pairs)
+
+
+def test_cp_isomorphic_anchor_other_than_vertex_0():
+    """In this graph vertex 0 shares its signature while vertex 8's is
+    unique, so the search anchors vertex 8, not vertex 0."""
+    g = graph("(1,3,3;0,0,2)")
+    sigs = _signatures(g)
+    assert sigs.count(sigs[0]) > 1
+    assert sigs.count(sigs[8]) == 1
+    assert all(sigs.count(s) > 1 for s in sigs[:8])
+    for shift in range(g.n):
+        h = relabelled(g, [(v * 3 + shift) % g.n for v in range(g.n)])
+        phi = cp_isomorphic(g, h)
+        assert phi is not None and is_colour_preserving_bijection(phi, g, h)
+    swapped = permute_colours(g, (1, 0, 2, 3))
+    assert (cp_isomorphic(g, swapped) is None) == (
+        all_anchors_isomorphism(g, swapped) is None
+    )
+
+
+def test_cp_isomorphic_rejects_disconnected_inputs():
+    piece = graph("(1,1,1;0,0,0)")
+    two_pieces = disjoint_union(piece, piece)
+    connected = graph("(2,2,2;1,1,1)")
+    assert connected.n == two_pieces.n and connected.is_connected()
+    # a propagation succeeds on one piece and leaves the other unmapped
+    with pytest.raises(ValueError):
+        cp_isomorphic(two_pieces, two_pieces)
+    # no anchor succeeds: connectivity is checked before answering None
+    with pytest.raises(ValueError):
+        cp_isomorphic(two_pieces, connected)
+    with pytest.raises(ValueError):
+        cp_isomorphic(connected, two_pieces)
 
 
 def test_cp_isomorphic_size_mismatch():

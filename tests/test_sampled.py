@@ -71,3 +71,14 @@ def test_sampled_constructive_surgery():
     for f in moving:
         report = verify_sigma_constructively(f)
         assert report.ok, (f, report.failures)
+
+
+# Big tuples, where the surgery graphs have hundreds of vertices.
+BIG_SAMPLE = sample_admissible(seed=2001, count=5, low=200, high=400)
+
+
+def test_sampled_constructive_surgery_on_big_tuples():
+    assert all(200 <= f.upsilon <= 400 and f.q0 != 0 for f in BIG_SAMPLE)
+    for f in BIG_SAMPLE:
+        report = verify_sigma_constructively(f)
+        assert report.ok, (f, report.failures)
