@@ -24,14 +24,15 @@ from typing import Iterator
 from .graphs import cancel_block, cancel_block_by_dipoles, embedding_euler
 from .homology import AbelianGroupSignature, h1, parse_signature
 from .moves import (
-    canonical,
     canonical_candidates,
     delta,
     h_orbit,
+    is_canonical,
     psi1,
     psi2,
     psi3,
     sigma,
+    sigma_neighbors,
 )
 from .orbits import (
     TrapWitness,
@@ -45,11 +46,10 @@ from .orbits import (
 )
 from .surgery import build_gf, verify_sigma_constructively
 from .tuples import (
-    AdmissibilityReport,
     SixTuple,
-    admissibility,
     build_graph,
     is_admissible,
+    parse_tuple,
     require_admissible,
     zero_q_count,
 )
@@ -89,7 +89,7 @@ def enumerate_canonical(max_complexity: int) -> Iterator[SixTuple]:
     """The canonical admissible tuples with complexity at most the
     bound: one per relabelling orbit, ordered by (complexity, lex)."""
     for f in enumerate_admissible(max_complexity):
-        if f.h0 <= f.h1 <= f.h2 and canonical(f) == f:
+        if is_canonical(f):
             yield f
 
 
@@ -111,16 +111,12 @@ class CatalogueRecord:
 
     def __post_init__(self) -> None:
         require_admissible(self.tuple)
-        if canonical(self.tuple) != self.tuple:
+        if not is_canonical(self.tuple):
             raise ValueError(f"record tuple {self.tuple} is not canonical")
         if self.upsilon != self.tuple.upsilon:
             raise ValueError(f"complexity mismatch on {self.tuple}")
         if self.root and not self.minimal:
             raise ValueError(f"{self.tuple} flagged root but not minimal")
-
-    @property
-    def diagnosis(self) -> AdmissibilityReport:
-        return admissibility(self.tuple)
 
 
 def classify_record(f: SixTuple, orbit_id: int | None = None) -> CatalogueRecord:
@@ -147,8 +143,6 @@ def assign_orbit_ids(tuples: list[SixTuple]) -> dict[SixTuple, int]:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
-
-    from .moves import sigma_neighbors
 
     for f in tuples:
         for nb in sigma_neighbors(f):
@@ -210,12 +204,16 @@ def records_to_tsv(records: list[CatalogueRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _flag(cell: str) -> bool:
+    if cell not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {cell!r}")
+    return cell == "true"
+
+
 def records_from_tsv(text: str) -> list[CatalogueRecord]:
     """Inverse of records_to_tsv.  The trap witness is recomputed from
     the tuple (the scan is deterministic) and checked against the stored
     columns, so a parsed catalogue equals the one that was written."""
-    from .tuples import parse_tuple
-
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].split("\t") != list(TSV_COLUMNS):
         raise ValueError("missing or malformed header row")
@@ -227,15 +225,15 @@ def records_from_tsv(text: str) -> list[CatalogueRecord]:
         f = parse_tuple(cells[0])
         trap = is_trap(f)
         stored = f"{trap.r},{trap.s}" if trap else ""
-        if (cells[2] == "true") != (trap is not None) or cells[3] != stored:
+        if _flag(cells[2]) != (trap is not None) or cells[3] != stored:
             raise ValueError(f"trap columns disagree with the scan on {f}")
         records.append(
             CatalogueRecord(
                 f,
                 int(cells[1]),
                 trap,
-                cells[4] == "true",
-                cells[5] == "true",
+                _flag(cells[4]),
+                _flag(cells[5]),
                 parse_signature(cells[6]),
                 int(cells[7]) if cells[7] else None,
                 tuple(cells[8].split("; ")) if cells[8] else (),

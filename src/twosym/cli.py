@@ -106,10 +106,12 @@ def _cmd_sigma(args) -> int:
             print("identity move: the first shift vanishes")
             return 0
         report = verify_sigma_constructively(f)
-        strip = dict(zip(("L", "p1", "p2", "r1", "r2"), report.measured_row))
-        print("measured strip:", " ".join(f"{k}={v}" for k, v in strip.items()))
-        print(f"exact cancellation at the {report.exact_block} block;"
-              f" partner matches after colour swap {report.orientation_swap}")
+        if report.measured_row is not None:
+            strip = dict(zip(("L", "p1", "p2", "r1", "r2"), report.measured_row))
+            print("measured strip:", " ".join(f"{k}={v}" for k, v in strip.items()))
+        if report.exact_block is not None:
+            print(f"exact cancellation at the {report.exact_block} block;"
+                  f" partner matches after colour swap {report.orientation_swap}")
         if not report.ok:
             print("surgery verification FAILED:", "; ".join(report.failures))
             return 2

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import combinations
 
 COLOURS = (0, 1, 2, 3)
 
@@ -176,23 +177,21 @@ def sphere_defects(g: ColouredGraph) -> list[tuple[int, int, int]]:
     Returns (missing colour, smallest vertex of the residue, chi).  A gem
     must have chi = 2 for every residue: V - 3V/2 + #(bicoloured cycles).
     """
+    index = {c: g.residue_index(tuple(d for d in COLOURS if d != c)) for c in COLOURS}
+    faces = {c: [0] * (max(idx, default=-1) + 1) for c, idx in index.items()}
+    # each {a,b}-cycle is a face of both 3-residues that keep a and b
+    for a, b in combinations(COLOURS, 2):
+        keep = [c for c in COLOURS if c != a and c != b]
+        for cyc in g.bicoloured_cycles(a, b):
+            for c in keep:
+                faces[c][index[c][cyc[0]]] += 1
     defects = []
-    for c in COLOURS:
-        rest = tuple(d for d in COLOURS if d != c)
-        comp_of = {}
-        comps = g.components(rest)
-        for i, comp in enumerate(comps):
-            for v in comp:
-                comp_of[v] = i
-        faces = [0] * len(comps)
-        for a_i in range(3):
-            for b_i in range(a_i + 1, 3):
-                for cyc in g.bicoloured_cycles(rest[a_i], rest[b_i]):
-                    faces[comp_of[cyc[0]]] += 1
-        for i, comp in enumerate(comps):
-            chi = len(comp) - 3 * len(comp) // 2 + faces[i]
+    for c, idx in index.items():
+        sizes = Counter(idx)
+        for i, count in enumerate(faces[c]):
+            chi = sizes[i] - 3 * sizes[i] // 2 + count
             if chi != 2:
-                defects.append((c, comp[0], chi))
+                defects.append((c, idx.index(i), chi))
     return defects
 
 
@@ -349,11 +348,7 @@ def as_dipole(g: ColouredGraph, u: int, w: int) -> Dipole | None:
     cols = _joining_colours(g, u, w)
     if not 1 <= len(cols) <= 3:
         return None
-    rest = tuple(c for c in COLOURS if c not in cols)
-    comp_of = {}
-    for i, comp in enumerate(g.components(rest)):
-        for v in comp:
-            comp_of[v] = i
+    comp_of = g.residue_index(tuple(c for c in COLOURS if c not in cols))
     if comp_of[u] == comp_of[w]:
         return None
     return Dipole((min(u, w), max(u, w)), cols)
@@ -437,12 +432,6 @@ class Block:
     def vertices(self) -> frozenset[int]:
         return frozenset(self.side_a) | frozenset(self.side_b)
 
-    @property
-    def corners(self) -> tuple[int, ...]:
-        if self.length == 1:
-            return (self.side_a[0], self.side_b[0])
-        return (self.side_a[0], self.side_a[-1], self.side_b[0], self.side_b[-1])
-
 
 def find_blocks(
     g: ColouredGraph, side_colours: tuple[int, int], rung_colour: int
@@ -455,10 +444,7 @@ def find_blocks(
     """
     p, q = side_colours
     res_idx = g.residue_index((p, q))
-    hat_idx = [-1] * g.n
-    for i, comp in enumerate(g.hat(rung_colour)):
-        for v in comp:
-            hat_idx[v] = i
+    hat_idx = g.residue_index(tuple(c for c in COLOURS if c != rung_colour))
 
     def neighbour(pair: tuple[int, int], c: int) -> tuple[int, int] | None:
         # the parallel rung across colour c, when both side edges land

@@ -167,11 +167,13 @@ def parse_signature(text: str) -> AbelianGroupSignature:
         part = part.strip()
         if part == "Z":
             free += 1
-        elif part.startswith("Z^"):
-            free += int(part[2:])
-        elif part.startswith("Z/"):
+        elif part.startswith(("Z^", "Z/")):
             d = int(part[2:])
-            if d == 0:
+            if d < 0:
+                raise ValueError(f"negative rank or torsion order in {text!r}")
+            if part[1] == "^":
+                free += d
+            elif d == 0:
                 free += 1
             elif d > 1:
                 torsion.append(d)
@@ -202,7 +204,7 @@ def h1_presentation(g: ColouredGraph) -> list[list[int]]:
     if cls is None:
         raise ValueError("H1 needs a bipartite (orientable) gem")
     gen_of = g.residue_index((0, 1))
-    n_gens = len(g.residues((0, 1)))
+    n_gens = max(gen_of) + 1
     rows = []
     for cyc in g.residues((2, 3)):
         row = [0] * n_gens

@@ -117,7 +117,7 @@ def canonical(f: SixTuple) -> SixTuple:
     """The distinguished member of f's relabelling orbit: the one orbit
     member that passes the representative filter.
 
-    The filter is complete (checked exhaustively to complexity 27), so
+    The filter is complete (checked exhaustively to complexity 29), so
     a count other than one is a bug and raises RuntimeError.
     """
     cands = canonical_candidates(f)
@@ -130,7 +130,14 @@ def canonical(f: SixTuple) -> SixTuple:
 
 
 def is_canonical(f: SixTuple) -> bool:
-    return canonical(f) == f
+    """Whether f is its orbit's distinguished member.
+
+    The filter passes exactly one member of every orbit (see canonical),
+    so f is canonical exactly when it passes: a test on f's own
+    coordinates, with no orbit built.  canonical() keeps the orbit-wide
+    count check.
+    """
+    return passes_representative_filter(f)
 
 
 # -- the 2-symmetric move ----------------------------------------------------

@@ -23,7 +23,9 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from .moves import canonical, delta, h_orbit, psi1, psi2, sigma, sigma_neighbors
+from .moves import (
+    canonical, delta, h_orbit, is_canonical, psi1, psi2, sigma, sigma_neighbors
+)
 from .tuples import SixTuple, require_admissible, zero_q_count
 
 
@@ -32,7 +34,7 @@ def _rotations(f: SixTuple) -> tuple[SixTuple, SixTuple, SixTuple]:
 
 
 def _require_canonical(f: SixTuple, who: str) -> None:
-    if canonical(f) != f:
+    if not is_canonical(f):
         raise ValueError(f"{who} needs a canonical tuple, got {f}")
 
 

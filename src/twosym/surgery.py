@@ -17,12 +17,14 @@ maps each block to its mate, but it necessarily swaps colours 0 and 1,
 because the ladder positions shift the cycle parity (condition
 "h_i + q_i odd" makes the shift odd).  Swapping colours 0 and 1 renames
 every tuple read off the graph by negating its q entries, i.e. by
-reversing the orientation of the three {0,1}-cycles.  Consequently one
-of the two cross blocks cancels to the moved graph with colours intact
-while the other yields the reversed-orientation copy, and which is
-which depends only on the parity of the moved tuple's q entries.  The
-verifier locates the exact one and records the swap needed by the
-other.
+reversing the orientation of the three {0,1}-cycles.  Consequently the
+two cross blocks cancel to graphs that differ by that swap.  Which of
+them cancels to the moved graph with colours intact is not fixed by
+the parity of the q entries: both cases occur at either parity.  The
+verifier tries the cross block, then its mate; the first that cancels
+to the graph of sigma(f) is recorded as the exact block, and the other
+is tried under each reorientation in REORIENTATIONS order.  That swap is
+SWAP_01, or the identity when both blocks cancel exactly.
 """
 
 from __future__ import annotations
@@ -200,7 +202,7 @@ def build_gf(f: SixTuple) -> SurgeryTrace:
         raise SurgeryError("pieces", f"{len(pieces)} colour-3 complements (need 2)")
 
     res_idx = big.residue_index((0, 1))
-    n_res = len(big.residues((0, 1)))
+    n_res = max(res_idx) + 1
     if n_res != 4:
         raise SurgeryError("split", f"{n_res} {{0,1}}-cycles (need 4)")
     ids = {
@@ -360,37 +362,28 @@ def verify_sigma_constructively(f: SixTuple) -> SigmaVerification:
         )
 
     cross = cancel_block(g, trace.theta)
+    cross_mate = cancel_block(g, trace.theta_mate)
     exact_block: str | None = None
     orientation_swap: tuple[int, int, int, int] | None = None
-    if cp_isomorphic(cross, moved_graph) is not None:
-        exact_block = "cross"
-        cross_mate = cancel_block(g, trace.theta_mate)
-        orientation_swap = next(
-            (
-                p
-                for p in REORIENTATIONS
-                if cp_isomorphic(permute_colours(cross_mate, p), moved_graph)
-            ),
-            None,
-        )
-        if orientation_swap is None:
-            failures.append("mate cross block matches no reorientation of the move")
-    else:
-        cross_mate = cancel_block(g, trace.theta_mate)
-        if cp_isomorphic(cross_mate, moved_graph) is not None:
-            exact_block = "cross mate"
+    for name, exact, partner, partner_name in (
+        ("cross", cross, cross_mate, "mate cross block"),
+        ("cross mate", cross_mate, cross, "cross block"),
+    ):
+        if cp_isomorphic(exact, moved_graph) is not None:
+            exact_block = name
             orientation_swap = next(
                 (
                     p
                     for p in REORIENTATIONS
-                    if cp_isomorphic(permute_colours(cross, p), moved_graph)
+                    if cp_isomorphic(permute_colours(partner, p), moved_graph)
                 ),
                 None,
             )
             if orientation_swap is None:
-                failures.append("cross block matches no reorientation of the move")
-        else:
-            failures.append("no cross block cancels to the moved graph")
+                failures.append(f"{partner_name} matches no reorientation of the move")
+            break
+    else:
+        failures.append("no cross block cancels to the moved graph")
 
     if trace.measured != expected_row:
         failures.append(

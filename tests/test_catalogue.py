@@ -1,6 +1,7 @@
 """Enumeration, classification records, TSV serialisation and suites."""
 
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -10,11 +11,11 @@ from twosym import (
     CatalogueRecord,
     assign_orbit_ids,
     build_catalogue,
+    canonical,
     classify_record,
     enumerate_admissible,
     enumerate_canonical,
     is_admissible,
-    is_canonical,
     parse_tuple,
     records_from_tsv,
     records_to_tsv,
@@ -43,9 +44,10 @@ def test_enumeration_is_ordered_and_complete():
     seen = list(enumerate_admissible(9))
     assert seen == sorted(seen, key=lambda f: (f.upsilon, f))
     assert len(seen) == len(set(seen))
-    # canonical enumeration is the canonical slice of the admissible one
+    # canonical enumeration is the canonical slice of the admissible one,
+    # with the orbit map as the reference rather than the filter
     canon = set(enumerate_canonical(9))
-    assert canon == {f for f in seen if is_canonical(f) and f.h0 <= f.h1 <= f.h2}
+    assert canon == {f for f in seen if canonical(f) == f}
 
 
 def test_smallest_catalogue():
@@ -116,6 +118,10 @@ def test_tsv_round_trip():
     records = build_catalogue(15)
     text = records_to_tsv(records)
     assert text.splitlines()[0].startswith("tuple\tupsilon\ttrap")
+    # the text itself is pinned, so a change in any record shows here
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "b816426ae2617529fc6a1a249ad6f6e6f6bb1c47d05883d77a63591985f2d9d1"
+    )
     back = records_from_tsv(text)
     assert back == records
     noted = [r for r in back if r.warnings]
@@ -134,6 +140,19 @@ def test_tsv_rejects_tampering():
     # flipping a stored trap flag contradicts the recomputation
     with pytest.raises(ValueError):
         records_from_tsv(text.replace("\ttrue\t1,1\t", "\tfalse\t\t"))
+
+
+def test_tsv_rejects_malformed_flags():
+    text = records_to_tsv(build_catalogue(5))
+    row = "(1,1,3;2,0,2)\t5\ttrue\t1,3\ttrue\ttrue\t"
+    assert row in text
+    for bad in [
+        "(1,1,3;2,0,2)\t5\tTrue\t1,3\ttrue\ttrue\t",  # trap
+        "(1,1,3;2,0,2)\t5\ttrue\t1,3\tTrue\tfalse\t",  # minimal
+        "(1,1,3;2,0,2)\t5\ttrue\t1,3\ttrue\tyes\t",  # root
+    ]:
+        with pytest.raises(ValueError, match="expected true or false"):
+            records_from_tsv(text.replace(row, bad))
 
 
 def test_run_suite_unknown_name():

@@ -130,6 +130,20 @@ def test_sigma_trace(capsys):
     assert "exact cancellation" in out
 
 
+def test_sigma_trace_reports_a_surgery_that_cannot_be_built(capsys, monkeypatch):
+    import twosym.surgery as surgery
+
+    def broken(f):
+        raise surgery.SurgeryError("ladder", "no colour-2 edge to split")
+
+    monkeypatch.setattr(surgery, "build_gf", broken)
+    code, out, err = run(capsys, "sigma", "(1,3,3;2,2,2)", "--trace")
+    assert code == 2
+    assert err == ""
+    assert "surgery verification FAILED: ladder: no colour-2 edge to split" in out
+    assert "measured strip" not in out and "exact cancellation" not in out
+
+
 def test_sigma_trace_identity_case(capsys):
     code, out, _ = run(capsys, "sigma", "(1,1,3;0,0,2)", "--trace")
     assert code == 0

@@ -121,6 +121,12 @@ def test_signature_normalisation_rules():
     assert parse_signature("Z/0") == AbelianGroupSignature(1, ())
 
 
+def test_signature_parsing_rejects_negative_orders():
+    for text in ["Z/-3", "Z + Z/-1", "Z/2 + Z/-4", "Z^-1 + Z^2"]:
+        with pytest.raises(ValueError, match="negative rank or torsion order"):
+            parse_signature(text)
+
+
 def test_presentation_shape():
     g = build_graph(parse_tuple("(1,3,3;2,2,2)"))
     matrix = h1_presentation(g)

@@ -120,6 +120,33 @@ def test_unique_candidate_everywhere_small():
         assert len(canonical_candidates(f)) == 1
 
 
+def valid_tuples(max_complexity):
+    """Every valid tuple up to the bound, admissible or not: same-parity
+    h and every same-parity q below the cycle lengths, of either parity."""
+    for total in range(3, max_complexity + 1):
+        for h0 in range(1, total - 1):
+            for h1 in range(1, total - h0):
+                h2 = total - h0 - h1
+                if h0 % 2 != h1 % 2 or h0 % 2 != h2 % 2:
+                    continue
+                moduli = (h2 + h0, h0 + h1, h1 + h2)
+                for start in (0, 1):
+                    for q in itertools.product(
+                        *(range(start, m, 2) for m in moduli)
+                    ):
+                        yield SixTuple(h0, h1, h2, *q)
+
+
+def test_is_canonical_is_the_orbit_map_fixed_point():
+    """The filter test agrees with building the orbit, on every valid
+    tuple up to complexity 17 (admissible or not)."""
+    count = 0
+    for f in valid_tuples(17):
+        count += 1
+        assert is_canonical(f) == (canonical(f) == f), f
+    assert count == 30396
+
+
 def test_equal_h_zero_shift_ties_are_broken():
     """With all h equal and q0 = 0, psi2 psi3 swaps (q1, q2) with
     (-q2, -q1); the filter keeps the member with q1 + q2 <= 2h0.  The

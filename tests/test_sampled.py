@@ -6,10 +6,12 @@ import random
 from twosym import (
     SixTuple,
     build_graph,
+    canonical,
     canonical_candidates,
     delta,
     h1,
     is_admissible,
+    is_canonical,
     psi1,
     psi2,
     psi3,
@@ -56,6 +58,9 @@ def test_sampled_move_laws():
 def test_sampled_canonical_is_unique():
     for f in SAMPLE:
         assert len(canonical_candidates(f)) == 1, f
+        # the filter test agrees with the orbit map on both outcomes
+        for g in (f, canonical(f)):
+            assert is_canonical(g) == (canonical(g) == g), g
 
 
 def test_sampled_homology_invariance():
