@@ -21,8 +21,8 @@ import time
 from dataclasses import dataclass
 from typing import Iterator
 
-from .graphs import cancel_block, cancel_block_by_dipoles, embedding_euler
-from .homology import AbelianGroupSignature, h1, parse_signature
+from .graphs import cancel_block, cancel_block_by_dipoles
+from .homology import AbelianGroupSignature, h1, h1_of_tuple, parse_signature
 from .moves import (
     canonical_candidates,
     delta,
@@ -47,7 +47,7 @@ from .orbits import (
 from .surgery import build_gf, verify_sigma_constructively
 from .tuples import (
     SixTuple,
-    build_graph,
+    embedding_euler_of_tuple,
     is_admissible,
     parse_tuple,
     require_admissible,
@@ -129,7 +129,7 @@ def classify_record(f: SixTuple, orbit_id: int | None = None) -> CatalogueRecord
         notes = ("two vanishing shifts: lower-genus tuple, ascent not applicable",)
     return CatalogueRecord(
         f, f.upsilon, is_trap(f), is_minimal(f), is_root(f),
-        h1(build_graph(f)), orbit_id, notes,
+        h1_of_tuple(f), orbit_id, notes,
     )
 
 
@@ -211,9 +211,9 @@ def _flag(cell: str) -> bool:
 
 
 def records_from_tsv(text: str) -> list[CatalogueRecord]:
-    """Inverse of records_to_tsv.  The trap witness is recomputed from
-    the tuple (the scan is deterministic) and checked against the stored
-    columns, so a parsed catalogue equals the one that was written."""
+    """Inverse of records_to_tsv.  The trap witness and H1 are
+    recomputed from the tuple and checked against the stored columns, so
+    a parsed catalogue equals the one that was written."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].split("\t") != list(TSV_COLUMNS):
         raise ValueError("missing or malformed header row")
@@ -227,6 +227,9 @@ def records_from_tsv(text: str) -> list[CatalogueRecord]:
         stored = f"{trap.r},{trap.s}" if trap else ""
         if _flag(cells[2]) != (trap is not None) or cells[3] != stored:
             raise ValueError(f"trap columns disagree with the scan on {f}")
+        group = parse_signature(cells[6])
+        if group != h1_of_tuple(f):
+            raise ValueError(f"h1 column disagrees with the homology of {f}")
         records.append(
             CatalogueRecord(
                 f,
@@ -234,7 +237,7 @@ def records_from_tsv(text: str) -> list[CatalogueRecord]:
                 trap,
                 _flag(cells[4]),
                 _flag(cells[5]),
-                parse_signature(cells[6]),
+                group,
                 int(cells[7]) if cells[7] else None,
                 tuple(cells[8].split("; ")) if cells[8] else (),
             )
@@ -305,7 +308,7 @@ def _suite_homology_invariance(bound: int, surgery_stride: int = 41):
     checked = 0
     for index, f in enumerate(enumerate_admissible(bound)):
         checked += 1
-        base = h1(build_graph(f))
+        base = h1_of_tuple(f)
         moved = sigma(f)
         if moved.upsilon != f.upsilon + delta(f):
             failures.append(f"complexity change wrong under the move on {f}")
@@ -315,7 +318,7 @@ def _suite_homology_invariance(bound: int, surgery_stride: int = 41):
             ("reversal", psi2(f)),
             ("negation", psi3(f)),
         ):
-            if h1(build_graph(image)) != base:
+            if h1_of_tuple(image) != base:
                 failures.append(f"homology changed under {name} on {f}")
         if f.q0 != 0 and f.upsilon <= 9 and index % surgery_stride == 0:
             trace = build_gf(f)
@@ -370,7 +373,7 @@ def _suite_genus_embedding(bound: int):
     checked = 0
     for f in enumerate_admissible(bound):
         checked += 1
-        if embedding_euler(build_graph(f), (0, 2, 1, 3)) != -2:
+        if embedding_euler_of_tuple(f) != -2:
             failures.append(f"embedding characteristic is not -2 on {f}")
     return checked, failures, []
 

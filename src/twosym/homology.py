@@ -5,6 +5,13 @@ The {0,1}-cycles of a bipartite crystallization generate H_1; every
 counts the cycle's visits to that {0,1}-cycle with a sign given by the
 vertex bipartition class.  One generator is killed for the base point.
 The cokernel is computed over exact integers by Smith reduction.
+
+h1_of_tuple reads this presentation straight off an admissible tuple's
+colour-2 and colour-3 arrays: admissibility already makes the tuple's
+graph a contracted bipartite gem, vertex parity is its bipartition and
+the {0,1}-cycle of a vertex is fixed by the cycle offsets, so no graph
+is built.  h1 takes a graph and proves those facts first; it is for
+graphs that do not come from a tuple, such as cancelled surgery blocks.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import ColouredGraph, is_contracted, is_gem
+from .tuples import SixTuple, _arrays_23, require_admissible
 
 
 def smith_normal_form(
@@ -221,6 +229,45 @@ def h1(g: ColouredGraph) -> AbelianGroupSignature:
     """First integral homology group of the encoded manifold."""
     matrix = h1_presentation(g)
     return cokernel(matrix, len(matrix[0]))
+
+
+def h1_presentation_of_tuple(f: SixTuple) -> list[list[int]]:
+    """h1_presentation(build_graph(f)) for an admissible f, row for row,
+    without building the graph.
+
+    Each {2,3}-cycle is walked from its smallest vertex as
+    _residue_count walks it; a colour-2 edge v-w adds the sign of v's
+    parity to v's generator and subtracts it from w's.  The generator of
+    a vertex is its {0,1}-cycle C_i, the block of the layout it lies in.
+    """
+    inv2, inv3 = _arrays_23(f)
+    gen_of = [0] * f.two_l(0) + [1] * f.two_l(1) + [2] * f.two_l(2)
+    seen = bytearray(len(inv2))
+    rows = []
+    for v0 in range(len(inv2)):
+        if seen[v0]:
+            continue
+        row = [0, 0, 0]
+        v = v0
+        while True:
+            w = inv2[v]
+            seen[v] = seen[w] = 1
+            sign = -1 if v & 1 else 1
+            row[gen_of[v]] += sign
+            row[gen_of[w]] -= sign
+            v = inv3[w]
+            if v == v0:
+                break
+        rows.append(row)
+    if len(rows) != 3 or any((h + q) % 2 == 0 for h, q in zip(f.h, f.q)):
+        require_admissible(f)  # raises, naming the failed condition
+    rows.append([1, 0, 0])
+    return rows
+
+
+def h1_of_tuple(f: SixTuple) -> AbelianGroupSignature:
+    """h1(build_graph(f)) for an admissible f, from the flat arrays."""
+    return cokernel(h1_presentation_of_tuple(f), 3)
 
 
 def lens_expectation(f) -> AbelianGroupSignature | None:

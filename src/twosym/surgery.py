@@ -76,6 +76,7 @@ class SurgeryTrace:
     """The split graph with its located blocks and measured strips."""
 
     base: SixTuple
+    base_graph: ColouredGraph  # the graph of base, before the split
     graph: ColouredGraph
     ladder: Block  # inserted, between the two halves of C_0
     ladder_mate: Block  # between C_1 and C_2
@@ -245,7 +246,7 @@ def build_gf(f: SixTuple) -> SurgeryTrace:
         raise SurgeryError("strips", "block runs do not match block lengths")
     measured = (theta.length, p1, p2, r1, r2)
     return SurgeryTrace(
-        f, big, ladder, ladder_mate, theta, theta_mate, c0_near, c0_far, measured
+        f, g, big, ladder, ladder_mate, theta, theta_mate, c0_near, c0_far, measured
     )
 
 
@@ -332,7 +333,7 @@ def verify_sigma_constructively(f: SixTuple) -> SigmaVerification:
 
     if trace.graph.n != 2 * f.upsilon + 2 * f.h1:
         failures.append("vertex count of the split graph is wrong")
-    base_graph = build_graph(f)
+    base_graph = trace.base_graph
     moved_graph = build_graph(expected)
 
     phi = reorientation_involution(trace)

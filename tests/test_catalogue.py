@@ -142,6 +142,17 @@ def test_tsv_rejects_tampering():
         records_from_tsv(text.replace("\ttrue\t1,1\t", "\tfalse\t\t"))
 
 
+def test_tsv_rejects_a_wrong_h1_cell():
+    text = records_to_tsv(build_catalogue(5))
+    row = "(1,1,3;2,0,2)\t5\ttrue\t1,3\ttrue\ttrue\tZ\t"
+    assert row in text
+    with pytest.raises(ValueError, match="h1 column disagrees"):
+        records_from_tsv(text.replace(row, row.replace("\tZ\t", "\tZ/5\t")))
+    # another spelling of the same group reads back as that group
+    again = records_from_tsv(text.replace(row, row.replace("\tZ\t", "\tZ/0\t")))
+    assert again == records_from_tsv(text)
+
+
 def test_tsv_rejects_malformed_flags():
     text = records_to_tsv(build_catalogue(5))
     row = "(1,1,3;2,0,2)\t5\ttrue\t1,3\ttrue\ttrue\t"

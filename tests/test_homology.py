@@ -8,9 +8,13 @@ import pytest
 
 from twosym import (
     AbelianGroupSignature,
+    ConditionError,
     build_graph,
+    enumerate_admissible,
     h1,
+    h1_of_tuple,
     h1_presentation,
+    h1_presentation_of_tuple,
     lens_expectation,
     parse_signature,
     parse_tuple,
@@ -135,10 +139,15 @@ def test_presentation_shape():
 
 
 def test_h1_known_values():
-    assert str(h1(build_graph(parse_tuple("(1,1,1;0,0,0)")))) == "0"
-    assert str(h1(build_graph(parse_tuple("(1,1,3;2,0,2)")))) == "Z"
-    assert str(h1(build_graph(parse_tuple("(2,2,2;1,1,3)")))) == "0"
-    assert str(h1(build_graph(parse_tuple("(1,1,5;0,0,2)")))) == "Z/3"
+    for text, group in [
+        ("(1,1,1;0,0,0)", "0"),
+        ("(1,1,3;2,0,2)", "Z"),
+        ("(2,2,2;1,1,3)", "0"),
+        ("(1,1,5;0,0,2)", "Z/3"),
+    ]:
+        f = parse_tuple(text)
+        assert str(h1(build_graph(f))) == group
+        assert str(h1_of_tuple(f)) == group
 
 
 def test_lens_family_calibration():
@@ -152,6 +161,31 @@ def test_lens_family_calibration():
             expected = lens_expectation(f)
             assert expected == AbelianGroupSignature(0, (p,))
             assert h1(build_graph(f)) == expected
+            assert h1_of_tuple(f) == expected
+
+
+def test_h1_of_tuple_matches_the_graph_route():
+    """The tuple kernel builds h1_presentation's matrix row for row, and
+    so the same group, on every admissible tuple up to complexity 15."""
+    checked = 0
+    for f in enumerate_admissible(15):
+        g = build_graph(f)
+        assert h1_presentation_of_tuple(f) == h1_presentation(g), f
+        assert h1_of_tuple(f) == h1(g), f
+        checked += 1
+    assert checked == 4477
+
+
+def test_h1_of_tuple_rejects_inadmissible_tuples():
+    for text, condition in [
+        ("(3,3,3;0,0,2)", "{2,3}-residue count"),
+        ("(1,1,3;0,0,0)", "{2,3}-residue count"),
+        ("(2,2,2;0,0,0)", "h+q parity"),
+        ("(1,1,3;1,1,3)", "h+q parity"),  # three {2,3}-residues all the same
+    ]:
+        with pytest.raises(ConditionError) as err:
+            h1_of_tuple(parse_tuple(text))
+        assert err.value.condition == condition
 
 
 def test_lens_expectation_scope():

@@ -10,6 +10,9 @@ from twosym import (
     canonical_candidates,
     delta,
     h1,
+    h1_of_tuple,
+    h1_presentation,
+    h1_presentation_of_tuple,
     is_admissible,
     is_canonical,
     psi1,
@@ -64,10 +67,16 @@ def test_sampled_canonical_is_unique():
 
 
 def test_sampled_homology_invariance():
+    """Both homology routes, the graph's and the tuple kernel's, agree
+    and are invariant under the move and the relabellings."""
     for f in SAMPLE:
-        base = h1(build_graph(f))
+        g = build_graph(f)
+        assert h1_presentation_of_tuple(f) == h1_presentation(g), f
+        base = h1(g)
+        assert h1_of_tuple(f) == base, f
         for image in (sigma(f), psi1(f), psi2(f), psi3(f)):
             assert h1(build_graph(image)) == base, (f, image)
+            assert h1_of_tuple(image) == base, (f, image)
 
 
 def test_sampled_constructive_surgery():

@@ -5,6 +5,7 @@ import pytest
 from twosym import (
     SWAP_01,
     build_gf,
+    build_graph,
     is_gem,
     parse_tuple,
     reorientation_involution,
@@ -37,6 +38,7 @@ def test_build_gf_shapes():
     }
     for text, (n, ladder_len, theta_len) in expected.items():
         trace = build_gf(parse_tuple(text))
+        assert trace.base_graph == build_graph(parse_tuple(text))
         assert trace.graph.n == n
         assert is_gem(trace.graph)
         assert trace.ladder.length == ladder_len

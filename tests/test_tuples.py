@@ -8,6 +8,8 @@ from twosym import (
     admissibility,
     build_graph,
     complexity,
+    embedding_euler,
+    embedding_euler_of_tuple,
     format_tuple,
     h_orbit,
     is_admissible,
@@ -18,6 +20,7 @@ from twosym import (
     zero_q_count,
 )
 from twosym.catalogue import enumerate_candidates
+from twosym.tuples import involution_arrays
 
 
 def test_accessors():
@@ -122,6 +125,30 @@ def test_graph_shape():
     # labels enumerate the cycles C_i in order
     assert g.label(0) == (0, 0)
     assert g.vertex_of_label((1, 0)) == f.two_l(0)
+
+
+def test_involution_arrays_follow_the_layout():
+    """Colour 0 joins (i,2k)-(i,2k+1) and colour 1 joins (i,2k+1)-(i,2k+2)
+    around each cycle, read through the vertex labels."""
+    for f in enumerate_candidates(11):
+        inv = involution_arrays(f)
+        labels = build_graph(f).labels
+        for v, (i, j) in enumerate(labels):
+            m = f.two_l(i)
+            assert labels[inv[0][v]] == (i, j + 1 if j % 2 == 0 else j - 1), f
+            assert labels[inv[1][v]] == (i, (j + 1 if j % 2 else j - 1) % m), f
+
+
+def test_embedding_euler_of_tuple_matches_the_graph():
+    """The array face count against the graph's, on every scan candidate
+    up to complexity 13: -2 on the admissible ones, and whatever the
+    graph gives on the rest."""
+    admissible = 0
+    for f in enumerate_candidates(13):
+        expected = embedding_euler(build_graph(f), (0, 2, 1, 3))
+        assert embedding_euler_of_tuple(f) == expected, f
+        admissible += is_admissible(f)
+    assert admissible == 1953
 
 
 def test_residue_count_matches_the_graph():
