@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import ColouredGraph, is_contracted, is_gem
-from .tuples import SixTuple, _arrays_23, require_admissible
+from .tuples import SixTuple, _arrays_23, even_parities, require_admissible
 
 
 def smith_normal_form(
@@ -259,7 +259,7 @@ def h1_presentation_of_tuple(f: SixTuple) -> list[list[int]]:
             if v == v0:
                 break
         rows.append(row)
-    if len(rows) != 3 or any((h + q) % 2 == 0 for h, q in zip(f.h, f.q)):
+    if len(rows) != 3 or even_parities(f):
         require_admissible(f)  # raises, naming the failed condition
     rows.append([1, 0, 0])
     return rows

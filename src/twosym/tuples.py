@@ -116,24 +116,15 @@ def involution_arrays(f: SixTuple) -> list[list[int]]:
     the cycles C_0, C_1, C_2 laid out in order.  Colour 0 joins
     (i,2k)-(i,2k+1) and colour 1 joins (i,2k+1)-(i,2k+2), so the C_i are
     the {0,1}-cycles; every off_i is even, so colour 0 is v -> v ^ 1.
-    Colour 1 is laid out by _array_1, colours 2 and 3 by _arrays_23.
+    Colours 2 and 3 are laid out by _arrays_23.
     """
-    return [[v ^ 1 for v in range(2 * f.upsilon)], _array_1(f), *_arrays_23(f)]
-
-
-def _array_1(f: SixTuple) -> list[int]:
-    """Colour 1 in the layout of involution_arrays: odd v -> v + 1 and
-    even v -> v - 1, except that each cycle's two ends are joined."""
-    n = 2 * f.upsilon
-    inv1 = [0] * n
-    inv1[0::2] = range(-1, n - 1, 2)
-    inv1[1::2] = range(2, n + 2, 2)
+    inv1: list[int] = []
     off = 0
     for i in range(3):
-        end = off + f.two_l(i) - 1
-        inv1[off], inv1[end] = end, off
-        off = end + 1
-    return inv1
+        m = f.two_l(i)
+        inv1 += [off + (((j - 1) ^ 1) + 1) % m for j in range(m)]
+        off += m
+    return [[v ^ 1 for v in range(off)], inv1, *_arrays_23(f)]
 
 
 def _arrays_23(f: SixTuple) -> tuple[list[int], list[int]]:
@@ -189,37 +180,17 @@ def _residue_count(inv_a: list[int], inv_b: list[int]) -> int:
     return count
 
 
-def _residue_count_0(inv_b: list[int]) -> int:
-    """_residue_count with colour 0 as inv_a, read as v -> v ^ 1 rather
-    than from an array."""
-    seen = bytearray(len(inv_b))
-    count = 0
-    for v0 in range(0, len(inv_b), 2):
-        if seen[v0]:
-            continue
-        count += 1
-        v = v0
-        while True:
-            seen[v] = seen[v ^ 1] = 1
-            v = inv_b[v ^ 1]
-            if v == v0:
-                break
-    return count
-
-
 def embedding_euler_of_tuple(f: SixTuple) -> int:
     """embedding_euler(build_graph(f), (0, 2, 1, 3)) on the flat arrays:
-    the faces are the {0,2}-, {2,1}-, {1,3}- and {3,0}-cycles.  Colour 0
-    is v -> v ^ 1, so its array is not built."""
-    inv1 = _array_1(f)
-    inv2, inv3 = _arrays_23(f)
+    the faces are the {0,2}-, {2,1}-, {1,3}- and {3,0}-cycles."""
+    inv0, inv1, inv2, inv3 = involution_arrays(f)
     faces = (
-        _residue_count_0(inv2)
+        _residue_count(inv0, inv2)
         + _residue_count(inv2, inv1)
         + _residue_count(inv1, inv3)
-        + _residue_count_0(inv3)
+        + _residue_count(inv3, inv0)
     )
-    return faces - len(inv1)
+    return faces - len(inv0)
 
 
 @dataclass(frozen=True)
@@ -234,15 +205,17 @@ class AdmissibilityReport:
         return "not admissible: " + "; ".join(self.failures)
 
 
+def even_parities(f: SixTuple) -> list[int]:
+    """The indices i with h_i + q_i even; admissibility needs none."""
+    return [i for i in range(3) if (f.h[i] + f.q[i]) % 2 == 0]
+
+
 @functools.lru_cache(maxsize=None)
 def admissibility(f: SixTuple) -> AdmissibilityReport:
     """Check the two conditions beyond the constructor's invariants:
     each h_i + q_i odd, and exactly three {2,3}-residues, counted on the
     colour-2 and colour-3 arrays without building the graph."""
-    failures = []
-    for i in range(3):
-        if (f.h[i] + f.q[i]) % 2 == 0:
-            failures.append(f"h+q parity: h{i}+q{i} is even")
+    failures = [f"h+q parity: h{i}+q{i} is even" for i in even_parities(f)]
     count = _residue_count(*_arrays_23(f))
     if count != 3:
         failures.append(f"{{2,3}}-residue count: {count} (need 3)")

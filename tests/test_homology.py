@@ -14,12 +14,12 @@ from twosym import (
     h1,
     h1_of_tuple,
     h1_presentation,
-    h1_presentation_of_tuple,
     lens_expectation,
     parse_signature,
     parse_tuple,
     smith_normal_form,
 )
+from twosym.homology import h1_presentation_of_tuple
 
 
 def minors_gcd_factors(matrix):

@@ -12,7 +12,6 @@ from twosym import (
     h1,
     h1_of_tuple,
     h1_presentation,
-    h1_presentation_of_tuple,
     is_admissible,
     is_canonical,
     psi1,
@@ -21,6 +20,7 @@ from twosym import (
     sigma,
     verify_sigma_constructively,
 )
+from twosym.homology import h1_presentation_of_tuple
 
 
 def sample_admissible(seed, count, low=25, high=60):

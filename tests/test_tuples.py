@@ -9,7 +9,6 @@ from twosym import (
     build_graph,
     complexity,
     embedding_euler,
-    embedding_euler_of_tuple,
     format_tuple,
     h_orbit,
     is_admissible,
@@ -20,7 +19,7 @@ from twosym import (
     zero_q_count,
 )
 from twosym.catalogue import enumerate_candidates
-from twosym.tuples import involution_arrays
+from twosym.tuples import embedding_euler_of_tuple, involution_arrays
 
 
 def test_accessors():
