@@ -38,10 +38,10 @@ from .tuples import (
 # it sits far above anything the library is exercised on (a few hundred).
 MAX_TUPLE_COMPLEXITY = 100_000
 
-# Largest `catalogue --max-complexity`.  Time and memory grow about 4x
-# and 2.3x per 4 steps of complexity: the bound 29 took 25-32 s and
-# peaked at 296 MB.
-MAX_CATALOGUE_COMPLEXITY = 29
+# Largest `catalogue --max-complexity`.  Time and memory grow about
+# 1.8x per 4 steps of complexity: on a 2-vCPU VM the bound 29 took
+# 10-12 s and peaked at 51 MB, and the bound 33 took 19-20 s and 91 MB.
+MAX_CATALOGUE_COMPLEXITY = 33
 
 # Largest `orbit --max-nodes`: ten times the default.  A walk of that
 # many nodes took about 380 s and peaked near 220 MB.  `orbit

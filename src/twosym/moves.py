@@ -117,7 +117,7 @@ def canonical(f: SixTuple) -> SixTuple:
     """The distinguished member of f's relabelling orbit: the one orbit
     member that passes the representative filter.
 
-    The filter is complete (checked exhaustively to complexity 29), so
+    The filter is complete (checked exhaustively to complexity 33), so
     a count other than one is a bug and raises RuntimeError.
     """
     cands = canonical_candidates(f)

@@ -15,12 +15,14 @@ from twosym import (
     classify_record,
     enumerate_admissible,
     enumerate_canonical,
+    h_orbit,
     is_admissible,
     parse_tuple,
     records_from_tsv,
     records_to_tsv,
     run_suite,
 )
+from twosym.catalogue import enumerate_candidates
 
 
 def test_enumerate_admissible_small():
@@ -41,13 +43,23 @@ def test_enumerate_admissible_small():
 
 
 def test_enumeration_is_ordered_and_complete():
-    seen = list(enumerate_admissible(9))
+    seen = list(enumerate_admissible(15))
     assert seen == sorted(seen, key=lambda f: (f.upsilon, f))
     assert len(seen) == len(set(seen))
     # canonical enumeration is the canonical slice of the admissible one,
     # with the orbit map as the reference rather than the filter
-    canon = set(enumerate_canonical(9))
-    assert canon == {f for f in seen if canonical(f) == f}
+    canon = list(enumerate_canonical(15))
+    assert canon == [f for f in seen if canonical(f) == f]
+
+
+def test_admissibility_is_constant_on_relabelling_orbits():
+    # the canonical census tests the filter before admissibility, which
+    # is sound only if every orbit is all admissible or all not
+    verdict = {f: is_admissible(f) for f in enumerate_candidates(21)}
+    assert len(verdict) == 53_515
+    for f, ok in verdict.items():
+        for g in h_orbit(f):
+            assert verdict[g] == ok, (f, g)
 
 
 def test_smallest_catalogue():
@@ -151,6 +163,18 @@ def test_tsv_rejects_a_wrong_h1_cell():
     # another spelling of the same group reads back as that group
     again = records_from_tsv(text.replace(row, row.replace("\tZ\t", "\tZ/0\t")))
     assert again == records_from_tsv(text)
+
+
+def test_tsv_rejects_wrong_minimal_and_root_cells():
+    text = records_to_tsv(build_catalogue(7))
+    row = "(1,1,3;2,0,2)\t5\ttrue\t1,3\ttrue\ttrue\t"
+    assert row in text
+    both = row.replace("\ttrue\ttrue\t", "\tfalse\tfalse\t")
+    with pytest.raises(ValueError, match="minimal column disagrees"):
+        records_from_tsv(text.replace(row, both))
+    root = row.replace("\ttrue\ttrue\t", "\ttrue\tfalse\t")
+    with pytest.raises(ValueError, match="root column disagrees"):
+        records_from_tsv(text.replace(row, root))
 
 
 def test_tsv_rejects_malformed_flags():
