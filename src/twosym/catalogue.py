@@ -3,14 +3,14 @@
 enumerate_admissible lists every admissible tuple up to a complexity
 bound by scanning positive equal-parity h-triples and the compatible
 shifts below each cycle length; enumerate_canonical keeps one member
-per relabelling orbit.  It applies the O(1) representative filter
-before the {2,3}-residue count, which is sound because admissibility is
-constant on each relabelling orbit; at complexity 19 the count then
-runs on 2,716 candidates instead of 29,469.  classify_record bundles
-the trap, minimality, root and homology facts for one tuple;
-build_catalogue does this for a whole complexity range, numbering the
-move-orbit components it can see, and the result round-trips through a
-tab-separated text form.
+per relabelling orbit.  It scans only sorted h-triples and applies the
+O(1) representative filter before the {2,3}-residue count, which is
+sound because admissibility is constant on each relabelling orbit; at
+complexity 19 the count then runs on 2,716 candidates instead of
+29,469.  classify_record bundles the trap, minimality, root and
+homology facts for one tuple; build_catalogue does this for a whole
+complexity range, numbering the move-orbit components it can see, and
+the result round-trips through a tab-separated text form.
 
 run_suite executes one of the named batch checks (group laws, the
 constructive move verification, homology invariance, agreement of the
@@ -21,6 +21,7 @@ its documented complexity bound, and reports a structured pass/fail.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from typing import Iterator
@@ -28,6 +29,7 @@ from typing import Iterator
 from .graphs import cancel_block, cancel_block_by_dipoles
 from .homology import AbelianGroupSignature, h1, h1_of_tuple, parse_signature
 from .moves import (
+    _passes,
     canonical_candidates,
     delta,
     h_orbit,
@@ -81,6 +83,27 @@ def enumerate_candidates(max_complexity: int) -> Iterator[SixTuple]:
                             yield SixTuple._trusted((h0, h1, h2, q0, q1, q2))
 
 
+def _filtered_candidates(max_complexity: int) -> Iterator[SixTuple]:
+    """The candidates of enumerate_candidates that pass the
+    representative filter, in the same order.  The filter's first test
+    is h0 <= h1 <= h2, so only sorted h-triples are scanned, and the
+    rest of it runs on the ints before any tuple is built."""
+    for total in range(3, max_complexity + 1):
+        for h0 in range(1, total // 3 + 1):
+            for h1 in range(h0, (total - h0) // 2 + 1, 2):
+                h2 = total - h0 - h1
+                if h2 % 2 != h0 % 2:
+                    continue
+                start = (h0 + 1) % 2
+                for q0, q1, q2 in itertools.product(
+                    range(start, h2 + h0, 2),
+                    range(start, h0 + h1, 2),
+                    range(start, h1 + h2, 2),
+                ):
+                    if _passes(h0, h1, h2, q0, q1, q2):
+                        yield SixTuple._trusted((h0, h1, h2, q0, q1, q2))
+
+
 def enumerate_admissible(
     max_complexity: int, *, canonical: bool = False
 ) -> Iterator[SixTuple]:
@@ -93,8 +116,12 @@ def enumerate_admissible(
     sound because admissibility is constant on each orbit: a relabelling
     renames the colours and cycles of the graph and keeps every h_i + q_i
     odd, so the filter's one pick has the orbit's admissibility."""
-    for f in enumerate_candidates(max_complexity):
-        if (not canonical or is_canonical(f)) and is_admissible(f):
+    if canonical:
+        candidates = _filtered_candidates(max_complexity)
+    else:
+        candidates = enumerate_candidates(max_complexity)
+    for f in candidates:
+        if is_admissible(f):
             yield f
 
 

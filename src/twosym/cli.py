@@ -38,13 +38,13 @@ from .tuples import (
 # it sits far above anything the library is exercised on (a few hundred).
 MAX_TUPLE_COMPLEXITY = 100_000
 
-# Largest `catalogue --max-complexity`.  Time and memory grow about
-# 1.8x per 4 steps of complexity: on a 2-vCPU VM the bound 29 took
-# 10-12 s and peaked at 51 MB, and the bound 33 took 19-20 s and 91 MB.
+# Largest `catalogue --max-complexity`.  Time grows about 2x and memory
+# about 1.7x per 4 steps of complexity: on a 2-vCPU VM the bound 29 took
+# 5-6 s and peaked at 40 MB, and the bound 33 took 11-13 s and 66 MB.
 MAX_CATALOGUE_COMPLEXITY = 33
 
 # Largest `orbit --max-nodes`: ten times the default.  A walk of that
-# many nodes took about 380 s and peaked near 220 MB.  `orbit
+# many nodes took about 140 s and peaked near 140 MB.  `orbit
 # --max-complexity` may be at most MAX_TUPLE_COMPLEXITY, since its nodes
 # are tuples.
 MAX_ORBIT_NODES = 100_000

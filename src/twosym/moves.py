@@ -5,6 +5,17 @@ Three relabelling maps psi1 (cyclic shift of the colour roles), psi2
 12 acting on tuples without changing the encoded manifold.  The move
 sigma is an involution that also preserves the manifold but can change
 the complexity by delta; it is the identity exactly when q0 = 0.
+
+The relabelling orbit, the representative filter and the move's
+rewriting are kernels on plain int 6-tuples (_orbit_fields, _passes,
+_canonical_fields, _move); h_orbit, passes_representative_filter,
+canonical, sigma and sigma_neighbors wrap them and build a SixTuple
+only for a result the caller keeps.  Validation stays where a tuple can
+go wrong: a relabelling image of a valid tuple is valid, so orbit
+members are built unvalidated, but every move image goes through the
+validating SixTuple.reduce, sigma and sigma_neighbors test their input's
+admissibility, and the filter's count is checked on every orbit that is
+canonicalised.
 """
 
 from __future__ import annotations
@@ -33,8 +44,8 @@ def psi(f: SixTuple, k: int) -> SixTuple:
 
 # The relabelling group as (h, q) index maps: psi1^k for k = 0, 1, 2,
 # each alone and followed by psi2.  Each map carries q_i together with
-# its modulus 2l_i, so images need no reduction.  h_orbit applies each
-# map to q and to psi3's negated shifts, giving all twelve elements.
+# its modulus 2l_i, so images need no reduction.  _orbit_fields applies
+# each map to q and to psi3's negated shifts, giving all twelve elements.
 _DIHEDRAL = (
     ((0, 1, 2), (0, 1, 2)),
     ((2, 1, 0), (0, 2, 1)),
@@ -45,17 +56,19 @@ _DIHEDRAL = (
 )
 
 
-def h_orbit(f: SixTuple) -> list[SixTuple]:
-    """Orbit of f under the relabelling group, sorted (size divides 12)."""
-    h = f.h
-    q = f.q
+def _orbit_fields(h: tuple[int, int, int], q: tuple[int, int, int]) -> set[tuple]:
+    """The relabelling orbit of (h; q) as a set of int 6-tuples."""
     negated = (-q[0] % (h[2] + h[0]), -q[1] % (h[0] + h[1]), -q[2] % (h[1] + h[2]))
-    images = {
+    return {
         (h[a], h[b], h[c], s[x], s[y], s[z])
         for (a, b, c), (x, y, z) in _DIHEDRAL
         for s in (q, negated)
     }
-    return [SixTuple._trusted(img) for img in sorted(images)]
+
+
+def h_orbit(f: SixTuple) -> list[SixTuple]:
+    """Orbit of f under the relabelling group, sorted (size divides 12)."""
+    return [SixTuple._trusted(img) for img in sorted(_orbit_fields(f.h, f.q))]
 
 
 # -- canonical orbit representative -----------------------------------------
@@ -66,7 +79,7 @@ def _neg_rep(q: int, mod: int) -> int:
     return mod - q if q else mod
 
 
-def passes_representative_filter(g: SixTuple) -> bool:
+def _passes(h0: int, h1: int, h2: int, q0: int, q1: int, q2: int) -> bool:
     """The chain of normalisation conditions selecting one orbit member.
 
     Ordering conditions on h come first; tie-breaking conditions on the
@@ -80,11 +93,9 @@ def passes_representative_filter(g: SixTuple) -> bool:
     to (-q2, -q1), which maps q1 + q2 to 4h0 - (q1 + q2) when nonzero;
     requiring q1 + q2 <= 2h0 keeps one member of each such pair.
     """
-    h0, h1, h2 = g.h
-    q0, q1, q2 = g.q
     if not h0 <= h1 <= h2:
         return False
-    l0, l1, l2 = g.two_l(0) // 2, g.two_l(1) // 2, g.two_l(2) // 2
+    l0, l1, l2 = (h2 + h0) // 2, (h0 + h1) // 2, (h1 + h2) // 2
     if q0 > l0:
         return False
     if q0 in (0, l0):
@@ -93,13 +104,13 @@ def passes_representative_filter(g: SixTuple) -> bool:
         if q1 in (0, l1) and q2 > l2:
             return False
     if h0 == h1:
-        m = g.two_l(2)  # equals two_l(0) when h0 = h1
+        m = h1 + h2  # two_l(2), which equals two_l(0) when h0 = h1
         if not q0 <= q2 <= _neg_rep(q0, m):
             return False
         if q2 == _neg_rep(q0, m) and q1 > h1:
             return False
     if h1 == h2:
-        m = g.two_l(1)  # equals two_l(0) when h1 = h2
+        m = h0 + h1  # two_l(1), which equals two_l(0) when h1 = h2
         if not q0 <= q1 <= _neg_rep(q0, m):
             return False
         if q1 == _neg_rep(q0, m) and q2 > h2:
@@ -109,24 +120,34 @@ def passes_representative_filter(g: SixTuple) -> bool:
     return True
 
 
+def passes_representative_filter(g: SixTuple) -> bool:
+    """The representative filter (see _passes) on g's coordinates."""
+    return _passes(g.h0, g.h1, g.h2, g.q0, g.q1, g.q2)
+
+
 def canonical_candidates(f: SixTuple) -> list[SixTuple]:
     return [g for g in h_orbit(f) if passes_representative_filter(g)]
 
 
-def canonical(f: SixTuple) -> SixTuple:
-    """The distinguished member of f's relabelling orbit: the one orbit
-    member that passes the representative filter.
+def _canonical_fields(h: tuple[int, int, int], q: tuple[int, int, int]) -> tuple:
+    """The one member of the orbit of (h; q) that passes the filter.
 
     The filter is complete (checked exhaustively to complexity 33), so
     a count other than one is a bug and raises RuntimeError.
     """
-    cands = canonical_candidates(f)
+    cands = [g for g in _orbit_fields(h, q) if _passes(*g)]
     if len(cands) != 1:
         raise RuntimeError(
             f"representative filter left {len(cands)} candidates on the "
-            f"orbit of {f}"
+            f"orbit of ({h[0]},{h[1]},{h[2]};{q[0]},{q[1]},{q[2]})"
         )
     return cands[0]
+
+
+def canonical(f: SixTuple) -> SixTuple:
+    """The distinguished member of f's relabelling orbit: the one orbit
+    member that passes the representative filter (see _canonical_fields)."""
+    return SixTuple._trusted(_canonical_fields(f.h, f.q))
 
 
 def is_canonical(f: SixTuple) -> bool:
@@ -165,42 +186,56 @@ def delta(f: SixTuple) -> int:
     return h1 - h2  # h2 < q0 < h0
 
 
-def sigma(f: SixTuple) -> SixTuple:
-    """The 2-symmetric move.  Identity when q0 = 0, otherwise one of four
-    rewritings picked by comparing q0 with h0 and h2; an involution that
-    commutes with psi2 and psi3."""
-    require_admissible(f)
-    h0, h1, h2 = f.h
-    q0, q1, q2 = f.q
-    if q0 == 0:
-        return f
+def _move(h0: int, h1: int, h2: int, q0: int, q1: int, q2: int) -> tuple:
+    """The move's rewriting of an admissible (h; q) with q0 != 0, one of
+    four picked by comparing q0 with h0 and h2; the shifts are not yet
+    reduced mod the new cycle lengths."""
     if q0 < h0 and q0 < h2:
-        return SixTuple.reduce(
+        return (
             h0 + h1 - q0, q0, h2 + h1 - q0,
             h0 + h1 + h2 - 2 * q0, q0 + q1 + h1, q0 + q2 + h1,
         )
     if q0 > h0 and q0 > h2:
-        return SixTuple.reduce(
+        return (
             q0 + h1 - h2, h0 + h2 - q0, q0 + h1 - h0,
             h1, q0 + q1 - h2, q0 + q2 - h0,
         )
     if h0 < q0 < h2:
-        return SixTuple.reduce(
+        return (
             h1, h0, h1 + h2 - h0,
             h1 + h2 - q0, q1, 2 * q0 + q2 + h1 - h0,
         )
-    return SixTuple.reduce(
+    return (
         h1 + h0 - h2, h2, h1,
         h1 + h0 - q0, 2 * q0 + q1 + h1 - h2, q2,
     )
 
 
+def sigma(f: SixTuple) -> SixTuple:
+    """The 2-symmetric move.  Identity when q0 = 0, otherwise one of four
+    rewritings (_move); an involution that commutes with psi2 and psi3."""
+    require_admissible(f)
+    if f.q0 == 0:
+        return f
+    return SixTuple.reduce(*_move(f.h0, f.h1, f.h2, f.q0, f.q1, f.q2))
+
+
 def sigma_neighbors(f: SixTuple) -> list[SixTuple]:
     """Canonical forms reachable by one move from any rotation of f,
-    excluding f's own canonical form; sorted."""
-    base = canonical(f)
+    excluding f's own canonical form; sorted.
+
+    Admissibility is constant on relabelling orbits, so it is tested
+    once, on the canonical form.  The rotations psi1 and psi1^2 are
+    index permutations that carry each q_i with its modulus, so they
+    need no reduction; a rotation with q0 = 0 is fixed by the move.
+    """
+    base = _canonical_fields(f.h, f.q)
+    require_admissible(SixTuple._trusted(base))
+    h0, h1, h2, q0, q1, q2 = base
     out = set()
-    for g in (base, psi1(base), psi1(psi1(base))):
-        out.add(canonical(sigma(g)))
+    for g in (base, (h1, h2, h0, q1, q2, q0), (h2, h0, h1, q2, q0, q1)):
+        if g[3]:
+            moved = SixTuple.reduce(*_move(*g))
+            out.add(_canonical_fields(moved.h, moved.q))
     out.discard(base)
-    return sorted(out)
+    return [SixTuple._trusted(g) for g in sorted(out)]

@@ -24,7 +24,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .moves import (
-    canonical, delta, h_orbit, is_canonical, psi1, psi2, sigma, sigma_neighbors
+    _orbit_fields, canonical, delta, is_canonical, psi1, psi2, sigma, sigma_neighbors
 )
 from .tuples import SixTuple, require_admissible, zero_q_count
 
@@ -82,17 +82,15 @@ def is_trap(f: SixTuple) -> TrapWitness | None:
     declared trap-free; the orbit is scanned in sorted order so the
     returned witness is deterministic.
     """
-    for g in h_orbit(f):
-        if g.h0 != g.h1 or g.h0 > g.h2 or g.q1 != 0:
+    for g in sorted(_orbit_fields(f.h, f.q)):
+        r, h1, s, q0, q1, q2 = g
+        if r != h1 or r > s or q1 != 0:
             continue
-        r, s = g.h0, g.h2
         n = r + s
-        d = math.gcd(g.q0 + g.q2, n)
+        d = math.gcd(q0 + q2, n)
         T = frozenset({0, *range(r + 1, s)})
-        if all(
-            (q + k * d) % n in T for k in range(n // d) for q in (g.q0, g.q2)
-        ):
-            return TrapWitness(r, s, g, d, T)
+        if all((q + k * d) % n in T for k in range(n // d) for q in (q0, q2)):
+            return TrapWitness(r, s, SixTuple._trusted(g), d, T)
     return None
 
 

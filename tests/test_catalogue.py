@@ -144,6 +144,25 @@ def test_tsv_round_trip():
     )
 
 
+@pytest.mark.parametrize(
+    "bound, records, orbits, digest",
+    [
+        (19, 1602, 594,
+         "953d291a2ce8f733f9c9a4db264be704d633bf9b2c47f60e6cac079cfbc1a836"),
+        (21, 2803, 1019,
+         "a45c1097c30f6b5aca85739cc62a157756e24ac96f7ee857f4f8fac0343c130c"),
+    ],
+)
+def test_whole_catalogue_text_is_pinned(bound, records, orbits, digest):
+    """Every column of the catalogue, the warnings included, is pinned
+    at 19 and 21, where the move components are large."""
+    got = build_catalogue(bound)
+    assert len(got) == records
+    assert len({r.orbit_id for r in got}) == orbits
+    text = records_to_tsv(got)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_tsv_rejects_tampering():
     records = build_catalogue(5)
     text = records_to_tsv(records)

@@ -5,12 +5,14 @@ import itertools
 import pytest
 
 from twosym import (
+    ConditionError,
     SUITES,
     SixTuple,
     canonical,
     canonical_candidates,
     delta,
     h_orbit,
+    is_admissible,
     is_canonical,
     parse_tuple,
     psi,
@@ -20,7 +22,9 @@ from twosym import (
     sigma,
     sigma_neighbors,
 )
+from twosym import moves
 from twosym.catalogue import enumerate_admissible, enumerate_candidates
+from twosym.moves import passes_representative_filter
 
 
 def test_psi_formulas():
@@ -206,3 +210,47 @@ def test_sigma_neighbors():
 def test_sigma_neighbors_canonicalizes_its_input():
     f = parse_tuple("(3,1,3;2,2,2)")
     assert sigma_neighbors(f) == sigma_neighbors(canonical(f))
+
+
+def test_canonical_is_the_unique_passer_of_the_orbit():
+    """The int kernel behind canonical picks what filtering h_orbit's
+    tuples picks, on every scan candidate up to 13, admissible or not."""
+    for f in enumerate_candidates(13):
+        passers = [g for g in h_orbit(f) if passes_representative_filter(g)]
+        assert passers == [canonical(f)], f
+
+
+def test_sigma_neighbors_is_the_move_on_each_rotation():
+    """sigma_neighbors equals canonicalising the move of each rotation
+    of the canonical form, on every admissible tuple up to 15."""
+    count = 0
+    for f in enumerate_admissible(15):
+        count += 1
+        c = canonical(f)
+        expected = {canonical(sigma(g)) for g in (c, psi1(c), psi1(psi1(c)))}
+        assert sigma_neighbors(f) == sorted(expected - {c}), f
+    assert count == 4477
+
+
+def test_sigma_neighbors_rejects_inadmissible_tuples():
+    bad = [f for f in enumerate_candidates(9) if not is_admissible(f)]
+    bad.append(parse_tuple("(1,1,1;1,1,1)"))  # every h_i + q_i even
+    for f in bad:
+        with pytest.raises(ConditionError):
+            sigma_neighbors(f)
+        with pytest.raises(ConditionError):
+            sigma(f)
+
+
+@pytest.mark.parametrize("verdict", [True, False])
+def test_the_filter_count_is_checked_on_every_canonicalisation(
+    monkeypatch, verdict
+):
+    """A filter that keeps every orbit member, or none, is caught by
+    canonical and by sigma_neighbors rather than silently resolved."""
+    monkeypatch.setattr(moves, "_passes", lambda *fields: verdict)
+    f = parse_tuple("(1,3,3;2,2,2)")
+    with pytest.raises(RuntimeError, match="representative filter left"):
+        canonical(f)
+    with pytest.raises(RuntimeError, match="representative filter left"):
+        sigma_neighbors(f)

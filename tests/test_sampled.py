@@ -18,6 +18,7 @@ from twosym import (
     psi2,
     psi3,
     sigma,
+    sigma_neighbors,
     verify_sigma_constructively,
 )
 from twosym.homology import h1_presentation_of_tuple
@@ -64,6 +65,13 @@ def test_sampled_canonical_is_unique():
         # the filter test agrees with the orbit map on both outcomes
         for g in (f, canonical(f)):
             assert is_canonical(g) == (canonical(g) == g), g
+
+
+def test_sampled_sigma_neighbors_is_the_move_on_each_rotation():
+    for f in SAMPLE:
+        c = canonical(f)
+        expected = {canonical(sigma(g)) for g in (c, psi1(c), psi1(psi1(c)))}
+        assert sigma_neighbors(f) == sorted(expected - {c}), f
 
 
 def test_sampled_homology_invariance():
