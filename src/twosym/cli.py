@@ -40,7 +40,7 @@ MAX_TUPLE_COMPLEXITY = 100_000
 
 # Largest `catalogue --max-complexity`.  Time grows about 2x and memory
 # about 1.7x per 4 steps of complexity: on a 2-vCPU VM the bound 29 took
-# 5-6 s and peaked at 40 MB, and the bound 33 took 11-13 s and 66 MB.
+# 4-5 s and peaked at 40 MB, and the bound 33 took 9-10 s and 66 MB.
 MAX_CATALOGUE_COMPLEXITY = 33
 
 # Largest `orbit --max-nodes`: ten times the default.  A walk of that

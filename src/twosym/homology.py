@@ -4,19 +4,25 @@ The {0,1}-cycles of a bipartite crystallization generate H_1; every
 {2,3}-cycle contributes one relator whose exponent sum on a generator
 counts the cycle's visits to that {0,1}-cycle with a sign given by the
 vertex bipartition class.  One generator is killed for the base point.
-The cokernel is computed over exact integers by Smith reduction.
 
 h1_of_tuple reads this presentation straight off an admissible tuple's
 colour-2 and colour-3 arrays: admissibility already makes the tuple's
 graph a contracted bipartite gem, vertex parity is its bipartition and
 the {0,1}-cycle of a vertex is fixed by the cycle offsets, so no graph
-is built.  h1 takes a graph and proves those facts first; it is for
-graphs that do not come from a tuple, such as cancelled surgery blocks.
+is built.  A genus-2 presentation has three generators and the kill row
+removes one, so its cokernel is read in closed form off the gcd of the
+relator entries and the gcd of their 2 x 2 minors.
+
+h1 takes a graph and proves those facts first; it is for graphs that do
+not come from a tuple, such as cancelled surgery blocks.  Its cokernel
+is computed over exact integers by Smith reduction, which also serves
+the tests that cross-check the closed form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .graphs import ColouredGraph, is_contracted, is_gem
 from .tuples import SixTuple, _arrays_23, even_parities, require_admissible
@@ -265,9 +271,32 @@ def h1_presentation_of_tuple(f: SixTuple) -> list[list[int]]:
     return rows
 
 
+def _cokernel_killing_c0(rows: list[list[int]]) -> AbelianGroupSignature:
+    """cokernel(rows, 3) for three relator rows followed by the kill row
+    [1, 0, 0].
+
+    The kill row removes C_0, so the group is Z^2 modulo the rows
+    (b_i, c_i).  Its invariant factors are D1, the gcd of the entries,
+    and D2 / D1, with D2 the gcd of the 2 x 2 minors; D2 = 0 leaves one
+    free generator, and D1 = 0 both.
+    """
+    (_, b1, c1), (_, b2, c2), (_, b3, c3), _ = rows
+    d1 = gcd(b1, c1, b2, c2, b3, c3)
+    d2 = gcd(b1 * c2 - b2 * c1, b1 * c3 - b3 * c1, b2 * c3 - b3 * c2)
+    if d2:
+        return AbelianGroupSignature(0, tuple(d for d in (d1, d2 // d1) if d > 1))
+    if d1:
+        return AbelianGroupSignature(1, (d1,) if d1 > 1 else ())
+    return AbelianGroupSignature(2, ())
+
+
 def h1_of_tuple(f: SixTuple) -> AbelianGroupSignature:
-    """h1(build_graph(f)) for an admissible f, from the flat arrays."""
-    return cokernel(h1_presentation_of_tuple(f), 3)
+    """h1(build_graph(f)) for an admissible f, from the flat arrays.
+
+    The relators are those of h1_presentation_of_tuple; their cokernel
+    is read in closed form, without Smith reduction.
+    """
+    return _cokernel_killing_c0(h1_presentation_of_tuple(f))
 
 
 def lens_expectation(f) -> AbelianGroupSignature | None:

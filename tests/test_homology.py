@@ -19,7 +19,11 @@ from twosym import (
     parse_tuple,
     smith_normal_form,
 )
-from twosym.homology import h1_presentation_of_tuple
+from twosym.homology import (
+    _cokernel_killing_c0,
+    cokernel,
+    h1_presentation_of_tuple,
+)
 
 
 def minors_gcd_factors(matrix):
@@ -174,6 +178,79 @@ def test_h1_of_tuple_matches_the_graph_route():
         assert h1_of_tuple(f) == h1(g), f
         checked += 1
     assert checked == 4477
+
+
+def test_h1_closed_form_matches_smith_route():
+    """The closed form agrees with Smith reduction of the same relators on
+    every admissible tuple up to complexity 19, and every group shape a
+    genus-2 presentation allows occurs among them."""
+    shapes = set()
+    checked = 0
+    for f in enumerate_admissible(19):
+        rows = h1_presentation_of_tuple(f)
+        group = h1_of_tuple(f)
+        assert group == cokernel(rows, 3), f
+        relators = rows[:3]
+        assert all(sum(row) == 0 for row in relators), f
+        assert [sum(col) for col in zip(*relators)] == [0, 0, 0], f
+        shapes.add((group.free_rank, len(group.torsion)))
+        checked += 1
+    assert checked == 17561
+    assert shapes == {(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)}
+
+
+def _signature_from_minors(matrix):
+    factors = minors_gcd_factors(matrix)
+    return AbelianGroupSignature(
+        len(matrix[0]) - len(factors), tuple(d for d in factors if d > 1)
+    )
+
+
+def test_closed_form_against_minor_gcds():
+    """The closed form on 3 x 3 relator blocks with the kill row appended,
+    against the invariant factors read off the gcds of all minors."""
+    rng = random.Random(19)
+
+    def entry():
+        return rng.randrange(-6, 7)
+
+    blocks = [
+        [[0, 0, 0], [0, 0, 0], [0, 0, 0]],  # Z^2
+        [[3, 0, 0], [0, 0, 0], [-1, 0, 0]],  # Z^2: only C_0 appears
+        [[0, 0, 0], [0, 0, 0], [4, 2, -6]],  # rank 1, last row only: Z + Z/2
+        [[5, 2, 0], [7, 0, 4], [1, 2, 4]],  # Z/2 + Z/4
+        [[0, 1, 0], [0, 0, 1], [0, 0, 0]],  # trivial
+        [[1, -3, 2], [1, 2, -3], [-2, 1, 1]],  # rows sum to 0: Z/5
+    ]
+    for _ in range(100):
+        blocks.append([[entry() for _ in range(3)] for _ in range(3)])
+    for _ in range(40):  # rank 1: an outer product
+        u = [entry() for _ in range(3)]
+        v = [entry() for _ in range(3)]
+        blocks.append([[x * y for y in v] for x in u])
+    for _ in range(40):  # a common factor, so D1 > 1 whenever D2 != 0
+        k = rng.randrange(2, 5)
+        blocks.append([[k * entry() for _ in range(3)] for _ in range(3)])
+
+    def det(a):
+        return (
+            a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
+            - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
+            + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
+        )
+
+    assert any(det(block) < 0 for block in blocks)
+    shapes = set()
+    for block in blocks:
+        matrix = block + [[1, 0, 0]]
+        group = _cokernel_killing_c0(matrix)
+        assert group == _signature_from_minors(matrix), block
+        assert group == cokernel(matrix, 3), block
+        shapes.add((group.free_rank, len(group.torsion)))
+    assert _cokernel_killing_c0(blocks[3] + [[1, 0, 0]]) == AbelianGroupSignature(
+        0, (2, 4)
+    )
+    assert shapes == {(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)}
 
 
 def test_h1_of_tuple_rejects_inadmissible_tuples():

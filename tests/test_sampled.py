@@ -21,7 +21,7 @@ from twosym import (
     sigma_neighbors,
     verify_sigma_constructively,
 )
-from twosym.homology import h1_presentation_of_tuple
+from twosym.homology import cokernel, h1_presentation_of_tuple
 
 
 def sample_admissible(seed, count, low=25, high=60):
@@ -74,9 +74,14 @@ def test_sampled_sigma_neighbors_is_the_move_on_each_rotation():
         assert sigma_neighbors(f) == sorted(expected - {c}), f
 
 
+def assert_closed_form_matches_smith_route(f):
+    assert h1_of_tuple(f) == cokernel(h1_presentation_of_tuple(f), 3), f
+
+
 def test_sampled_homology_invariance():
     """Both homology routes, the graph's and the tuple kernel's, agree
-    and are invariant under the move and the relabellings."""
+    and are invariant under the move and the relabellings; the tuple
+    kernel's closed form agrees with Smith reduction of its relators."""
     for f in SAMPLE:
         g = build_graph(f)
         assert h1_presentation_of_tuple(f) == h1_presentation(g), f
@@ -85,6 +90,8 @@ def test_sampled_homology_invariance():
         for image in (sigma(f), psi1(f), psi2(f), psi3(f)):
             assert h1(build_graph(image)) == base, (f, image)
             assert h1_of_tuple(image) == base, (f, image)
+            assert_closed_form_matches_smith_route(image)
+        assert_closed_form_matches_smith_route(f)
 
 
 def test_sampled_constructive_surgery():
@@ -104,3 +111,5 @@ def test_sampled_constructive_surgery_on_big_tuples():
     for f in BIG_SAMPLE:
         report = verify_sigma_constructively(f)
         assert report.ok, (f, report.failures)
+        assert_closed_form_matches_smith_route(f)
+        assert_closed_form_matches_smith_route(sigma(f))
