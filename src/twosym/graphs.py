@@ -27,10 +27,29 @@ class ColouredGraph:
     involutions[c][v] is the vertex joined to v by the colour-c edge.
     Optional labels keep the original names of vertices through
     rebuilding operations (cancellations, surgery).
+
+    The public constructor validates every involution.  Graphs derived
+    from a validated graph by operations that keep each colour a
+    fixed-point-free involution (welding and compressing, renaming
+    colours) are built with ``_trusted`` instead, which skips the check.
     """
 
     involutions: tuple[tuple[int, ...], ...]
     labels: tuple[object, ...] | None = None
+
+    @classmethod
+    def _trusted(
+        cls,
+        involutions: tuple[tuple[int, ...], ...],
+        labels: tuple[object, ...] | None = None,
+    ) -> ColouredGraph:
+        """Construct without validation, for graphs derived from a valid
+        graph by maps known to preserve validity."""
+        g = object.__new__(cls)
+        d = g.__dict__
+        d["involutions"] = involutions
+        d["labels"] = labels
+        return g
 
     def __post_init__(self) -> None:
         if len(self.involutions) != len(COLOURS):
@@ -157,11 +176,14 @@ class ColouredGraph:
 def _compress(
     inv_rows: list[list[int]], keep: list[int], labels: tuple[object, ...] | None
 ) -> ColouredGraph:
-    """Reindex the kept vertices densely, preserving labels."""
-    index = {v: i for i, v in enumerate(keep)}
-    invs = tuple(tuple(index[inv_rows[c][v]] for v in keep) for c in COLOURS)
-    labs = tuple(labels[v] for v in keep) if labels is not None else None
-    return ColouredGraph(invs, labs)
+    """Reindex the kept vertices densely, preserving labels.  The rows
+    must already be involutions on the kept vertices."""
+    index = [-1] * len(inv_rows[0])
+    for i, v in enumerate(keep):
+        index[v] = i
+    invs = tuple(tuple([index[row[v]] for v in keep]) for row in inv_rows)
+    labs = tuple([labels[v] for v in keep]) if labels is not None else None
+    return ColouredGraph._trusted(invs, labs)
 
 
 def _rows(g: ColouredGraph) -> list[list[int]]:
@@ -227,7 +249,9 @@ def permute_colours(
     edges that had colour perm[c]."""
     if sorted(perm) != list(COLOURS):
         raise ValueError("perm must be a permutation of the colours")
-    return ColouredGraph(tuple(g.involutions[perm[c]] for c in COLOURS), g.labels)
+    return ColouredGraph._trusted(
+        tuple(g.involutions[perm[c]] for c in COLOURS), g.labels
+    )
 
 
 # -- colour-preserving isomorphism -----------------------------------------
@@ -277,7 +301,10 @@ def cp_isomorphic(g1: ColouredGraph, g2: ColouredGraph) -> list[int] | None:
     Inputs must be connected.  A disconnected input raises ValueError,
     but connectivity is only tested where the search depends on it: when
     a propagation succeeds without reaching every vertex, and before
-    answering None.
+    answering None.  The search does not re-validate its inputs, so a
+    graph made by ``ColouredGraph._trusted`` must be derived from a
+    validated one.  When a candidate map is already known, ``_is_cp_map``
+    checks it in one pass instead of searching.
     """
     if g1.n != g2.n:
         return None
@@ -321,6 +348,19 @@ def cp_isomorphic(g1: ColouredGraph, g2: ColouredGraph) -> list[int] | None:
     if not (g1.is_connected() and g2.is_connected()):
         raise ValueError("cp_isomorphic expects connected graphs")
     return None
+
+
+def _is_cp_map(g1: ColouredGraph, g2: ColouredGraph, m: list[int]) -> bool:
+    """True when m is a colour-preserving isomorphism g1 -> g2: a
+    bijection of range(n) with m[g1_c[v]] == g2_c[m[v]] for every colour
+    c and vertex v."""
+    n = g1.n
+    if g2.n != n or len(m) != n or sorted(m) != list(range(n)):
+        return False
+    return all(
+        [m[x] for x in g1.involutions[c]] == [g2.involutions[c][y] for y in m]
+        for c in COLOURS
+    )
 
 
 # -- dipoles ----------------------------------------------------------------
@@ -526,6 +566,13 @@ def find_gluing_blocks(
     return [b for b in find_blocks(g, side_colours, rung_colour) if b.gluing]
 
 
+def _kept(g: ColouredGraph, block: Block) -> list[int]:
+    """The vertices of g that cancel_block(g, block) keeps, in the order
+    of the cancelled graph."""
+    body = block.vertices
+    return [v for v in range(g.n) if v not in body]
+
+
 def cancel_block(g: ColouredGraph, block: Block) -> ColouredGraph:
     """Remove a gluing block and weld the hanging edges.
 
@@ -542,22 +589,24 @@ def cancel_block(g: ColouredGraph, block: Block) -> ColouredGraph:
         raise ValueError("block cancellation would empty the graph")
     r = block.rung_colour
     rows = _rows(g)
+    rung = rows[r]
     for c in COLOURS:
         if c == r:
             continue
+        row = rows[c]
         welds = []
-        for u in range(g.n):
-            if u in body or rows[c][u] not in body:
+        for x in body:
+            u = row[x]
+            if u in body:
                 continue
-            w = rows[c][u]
+            w = x
             while w in body:
-                w = rows[c][rows[r][w]]
+                w = row[rung[w]]
             welds.append((u, w))
         for u, w in welds:
-            rows[c][u] = w
-            rows[c][w] = u
-    keep = [v for v in range(g.n) if v not in body]
-    return _compress(rows, keep, g.labels)
+            row[u] = w
+            row[w] = u
+    return _compress(rows, _kept(g, block), g.labels)
 
 
 def cancel_block_by_dipoles(g: ColouredGraph, block: Block) -> ColouredGraph:

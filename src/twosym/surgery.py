@@ -25,6 +25,26 @@ verifier tries the cross block, then its mate; the first that cancels
 to the graph of sigma(f) is recorded as the exact block, and the other
 is tried under each reorientation in REORIENTATIONS order.  That swap is
 SWAP_01, or the identity when both blocks cancel exactly.
+
+Only two matches are searched for (graphs.cp_isomorphic): each cross
+block's cancellation against the graph of sigma(f), once each.  The
+others are checked against a map the construction already knows
+(graphs._is_cp_map), in one pass and more strictly than a search:
+
+- the inserted ladder occupies the vertices after those of f's graph,
+  so its cancellation must be that graph array for array and label for
+  label;
+- the half exchange, once verified as an involution that swaps colours
+  0/1 and pairs each block with its mate, maps the vertices kept by the
+  mate ladder's cancellation onto the colour-swapped graph of f;
+- the partner cross block matches under SWAP_01 through the exact
+  block's isomorphism after the half exchange.  The identity reuses the
+  partner's own search; SWAP_23 and (1,0,3,2) are searched only after
+  the SWAP_01 map fails.
+
+A half exchange that fails any of its checks fails the mate ladder's
+check, and the partner's unless it cancels exactly; neither falls back
+to a search.
 """
 
 from __future__ import annotations
@@ -35,6 +55,8 @@ from .graphs import (
     COLOURS,
     Block,
     ColouredGraph,
+    _is_cp_map,
+    _kept,
     cancel_block,
     cp_isomorphic,
     find_gluing_blocks,
@@ -250,6 +272,18 @@ def build_gf(f: SixTuple) -> SurgeryTrace:
     )
 
 
+def _through_half_exchange(
+    g: ColouredGraph, phi: list[int], partner: Block, exact: Block, chi: list[int]
+) -> list[int]:
+    """chi after phi, on the vertices that cancel_block(g, partner) keeps:
+    phi carries them to those cancel_block(g, exact) keeps, and chi maps
+    that cancelled graph on.  A vertex phi sends elsewhere maps to -1."""
+    chi_of = [-1] * g.n
+    for v, image in zip(_kept(g, exact), chi):
+        chi_of[v] = image
+    return [chi_of[phi[u]] for u in _kept(g, partner)]
+
+
 def reorientation_involution(trace: SurgeryTrace) -> list[int]:
     """The vertex involution of the split graph exchanging C_1 with the
     near half of C_0 and C_2 with the far half.
@@ -338,12 +372,16 @@ def verify_sigma_constructively(f: SixTuple) -> SigmaVerification:
 
     phi = reorientation_involution(trace)
     g = trace.graph
+    inv = g.involutions
+    phi_ok = False
     if sorted(phi) != list(range(g.n)) or any(phi[phi[v]] != v for v in range(g.n)):
         failures.append("half exchange is not an involution of the vertices")
     else:
+        phi_ok = True
         for c in COLOURS:
             cc = SWAP_01[c]
-            if any(phi[g.adj(c, v)] != g.adj(cc, phi[v]) for v in range(g.n)):
+            if [phi[w] for w in inv[c]] != [inv[cc][u] for u in phi]:
+                phi_ok = False
                 failures.append(
                     f"half exchange does not carry colour {c} to colour {cc}"
                 )
@@ -352,37 +390,67 @@ def verify_sigma_constructively(f: SixTuple) -> SigmaVerification:
             (trace.theta, trace.theta_mate, "cross block"),
         ):
             if frozenset(phi[v] for v in blk.vertices) != mate.vertices:
+                phi_ok = False
                 failures.append(f"half exchange does not pair the {name} with its mate")
 
-    if cp_isomorphic(cancel_block(g, trace.ladder), base_graph) is None:
+    # the inserted ladder occupies the vertices from base_graph.n on, so
+    # its cancellation must give back the base graph array for array
+    if cancel_block(g, trace.ladder) != base_graph:
         failures.append("cancelling the inserted ladder does not restore the base")
-    mate_cancelled = cancel_block(g, trace.ladder_mate)
-    if cp_isomorphic(mate_cancelled, permute_colours(base_graph, SWAP_01)) is None:
+    # phi carries the mate ladder onto the inserted one, so it maps the
+    # vertices kept by the mate's cancellation onto those of the base
+    if not (
+        phi_ok
+        and _is_cp_map(
+            cancel_block(g, trace.ladder_mate),
+            permute_colours(base_graph, SWAP_01),
+            [phi[u] for u in _kept(g, trace.ladder_mate)],
+        )
+    ):
         failures.append(
             "cancelling the mate ladder does not yield the reversed base copy"
         )
 
-    cross = cancel_block(g, trace.theta)
-    cross_mate = cancel_block(g, trace.theta_mate)
+    # each cross block is searched against the moved graph once; under
+    # SWAP_01 the partner of the exact one is checked against the map
+    # that the half exchange gives, and only the other colour swaps,
+    # which no working surgery reaches, are searched
+    blocks = (trace.theta, trace.theta_mate)
+    cancelled = [cancel_block(g, b) for b in blocks]
+    found = [cp_isomorphic(h, moved_graph) for h in cancelled]
     exact_block: str | None = None
     orientation_swap: tuple[int, int, int, int] | None = None
-    for name, exact, partner, partner_name in (
-        ("cross", cross, cross_mate, "mate cross block"),
-        ("cross mate", cross_mate, cross, "cross block"),
+    for e, name, partner_name in (
+        (0, "cross", "mate cross block"),
+        (1, "cross mate", "cross block"),
     ):
-        if cp_isomorphic(exact, moved_graph) is not None:
-            exact_block = name
-            orientation_swap = next(
-                (
-                    p
-                    for p in REORIENTATIONS
-                    if cp_isomorphic(permute_colours(partner, p), moved_graph)
-                ),
-                None,
-            )
-            if orientation_swap is None:
-                failures.append(f"{partner_name} matches no reorientation of the move")
-            break
+        chi = found[e]
+        if chi is None:
+            continue
+        exact_block = name
+        partner = cancelled[1 - e]
+        for p in REORIENTATIONS:
+            if p == REORIENTATIONS[0]:
+                matched = found[1 - e] is not None
+            elif p == SWAP_01:
+                if not phi_ok:
+                    break  # no verified map to check, and no search instead
+                matched = _is_cp_map(
+                    permute_colours(partner, p),
+                    moved_graph,
+                    _through_half_exchange(g, phi, blocks[1 - e], blocks[e], chi),
+                )
+            else:
+                matched = (
+                    cp_isomorphic(permute_colours(partner, p), moved_graph)
+                    is not None
+                )
+            if matched:
+                orientation_swap = p
+                break
+        if orientation_swap is None:
+            failures.append(f"{partner_name} matches no reorientation of the move")
+        break
     else:
         failures.append("no cross block cancels to the moved graph")
 

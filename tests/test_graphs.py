@@ -22,10 +22,10 @@ from twosym import (
     permute_colours,
     to_dot,
 )
-import twosym.surgery
 from twosym.catalogue import enumerate_admissible
-from twosym.graphs import _signatures, sphere_defects
-from twosym.surgery import build_gf
+from twosym.graphs import _is_cp_map, _signatures, sphere_defects
+from twosym.moves import sigma
+from twosym.surgery import REORIENTATIONS, SWAP_01, build_gf
 
 
 def graph(text):
@@ -185,21 +185,40 @@ def test_cp_isomorphic_respects_colours():
     assert cp_isomorphic(sym, permute_colours(sym, (1, 0, 2, 3))) is not None
 
 
-def test_cp_isomorphic_agrees_with_all_anchors_on_surgery_pairs(monkeypatch):
-    """Every pair the surgery check compares, for the moving admissible
-    tuples up to complexity 11: the signature-anchored search finds a map
-    exactly when the all-anchors reference does, and each map it returns
-    is a colour-preserving bijection."""
-    pairs = []
+def surgery_pairs(f):
+    """The pairs the surgery check of f compared by search before it
+    checked known maps, in its order: the inserted ladder's and the mate
+    ladder's cancellations against the base graph and its colour-swapped
+    copy, then each cross block against the moved graph until one
+    matches, and its partner under each reorientation until one does."""
+    trace = build_gf(f)
+    g, base = trace.graph, trace.base_graph
+    moved = build_graph(sigma(f))
+    yield cancel_block(g, trace.ladder), base
+    yield cancel_block(g, trace.ladder_mate), permute_colours(base, SWAP_01)
+    cross = cancel_block(g, trace.theta)
+    cross_mate = cancel_block(g, trace.theta_mate)
+    for exact, partner in ((cross, cross_mate), (cross_mate, cross)):
+        yield exact, moved
+        if cp_isomorphic(exact, moved) is not None:
+            for p in REORIENTATIONS:
+                yield permute_colours(partner, p), moved
+                if cp_isomorphic(permute_colours(partner, p), moved) is not None:
+                    break
+            return
 
-    def record(g1, g2):
-        pairs.append((g1, g2))
-        return cp_isomorphic(g1, g2)
 
-    monkeypatch.setattr(twosym.surgery, "cp_isomorphic", record)
-    for f in enumerate_admissible(11):
-        if f.q0 != 0:
-            twosym.surgery.verify_sigma_constructively(f)
+def test_cp_isomorphic_agrees_with_all_anchors_on_surgery_pairs():
+    """Every pair the surgery check used to search, for the moving
+    admissible tuples up to complexity 11: the signature-anchored search
+    finds a map exactly when the all-anchors reference does, and each
+    map it returns is a colour-preserving bijection."""
+    pairs = [
+        pair
+        for f in enumerate_admissible(11)
+        if f.q0 != 0
+        for pair in surgery_pairs(f)
+    ]
     assert len(pairs) == 3154
     found = 0
     for g1, g2 in pairs:
@@ -246,6 +265,26 @@ def test_cp_isomorphic_rejects_disconnected_inputs():
 
 def test_cp_isomorphic_size_mismatch():
     assert cp_isomorphic(graph("(1,1,1;0,0,0)"), graph("(1,3,3;2,2,2)")) is None
+
+
+def test_is_cp_map_checks_every_colour_and_bijectivity():
+    g = graph("(2,2,2;3,1,1)")
+    identity = list(range(g.n))
+    assert _is_cp_map(g, g, identity)
+    perm = [(v * 5 + 3) % g.n for v in range(g.n)]
+    assert _is_cp_map(g, relabelled(g, perm), perm)
+    # colours 0 and 1 agree, 2 and 3 are exchanged
+    assert not _is_cp_map(g, permute_colours(g, (0, 1, 3, 2)), identity)
+    # a colour-preserving covering of one piece that is not a bijection
+    piece = graph("(1,1,1;0,0,0)")
+    doubled = disjoint_union(piece, piece)
+    fold = [v % piece.n for v in range(doubled.n)]
+    assert not _is_cp_map(doubled, doubled, fold)
+    assert _is_cp_map(doubled, doubled, list(range(doubled.n)))
+    # sizes: graphs of different orders, or a map of the wrong length
+    assert not _is_cp_map(piece, g, list(range(piece.n)))
+    assert not _is_cp_map(g, g, identity[:-1])
+    assert not _is_cp_map(g, g, identity + [g.n])
 
 
 def test_embedding_euler_characteristics():

@@ -3,9 +3,14 @@ samples of admissible tuples beyond the exhaustive suites' bounds."""
 
 import random
 
+import twosym.graphs
 from twosym import (
+    REORIENTATIONS,
     SixTuple,
+    build_gf,
     build_graph,
+    cancel_block,
+    cancel_block_by_dipoles,
     canonical,
     canonical_candidates,
     delta,
@@ -14,6 +19,7 @@ from twosym import (
     h1_presentation,
     is_admissible,
     is_canonical,
+    permute_colours,
     psi1,
     psi2,
     psi3,
@@ -21,6 +27,8 @@ from twosym import (
     sigma_neighbors,
     verify_sigma_constructively,
 )
+from twosym.catalogue import enumerate_admissible
+from twosym.graphs import ColouredGraph
 from twosym.homology import cokernel, h1_presentation_of_tuple
 
 
@@ -100,6 +108,40 @@ def test_sampled_constructive_surgery():
     for f in moving:
         report = verify_sigma_constructively(f)
         assert report.ok, (f, report.failures)
+
+
+def test_trusted_graphs_pass_validation(monkeypatch):
+    """Cancellations and colour renamings skip validation; every graph
+    they build for the four surgery blocks of each moving admissible
+    tuple up to complexity 11 and of each moving sampled tuple, by
+    welding or rung by rung as dipoles, passes the public constructor."""
+    stepped = []
+    real_cancel_dipole = twosym.graphs.cancel_dipole
+
+    def cancel_dipole(g, u, w):
+        stepped.append(real_cancel_dipole(g, u, w))
+        return stepped[-1]
+
+    monkeypatch.setattr(twosym.graphs, "cancel_dipole", cancel_dipole)
+    tuples = [f for f in enumerate_admissible(11) if f.q0 != 0]
+    tuples += [f for f in SAMPLE if f.q0 != 0]
+    checked = 0
+    for f in tuples:
+        trace = build_gf(f)
+        made = [permute_colours(trace.base_graph, p) for p in REORIENTATIONS]
+        for block in (trace.ladder, trace.ladder_mate, trace.theta, trace.theta_mate):
+            welded = cancel_block(trace.graph, block)
+            made.append(welded)
+            made.extend(permute_colours(welded, p) for p in REORIENTATIONS)
+            stepped.clear()
+            assert cancel_block_by_dipoles(trace.graph, block) == welded, f
+            assert len(stepped) == block.length
+            made.extend(stepped)
+        for h in made:
+            assert ColouredGraph(h.involutions, h.labels) == h, f
+            checked += 1
+    assert len(tuples) == 592 + sum(f.q0 != 0 for f in SAMPLE)
+    assert checked == 21814
 
 
 # Big tuples, where the surgery graphs have hundreds of vertices.

@@ -2,8 +2,11 @@
 
 import pytest
 
+import twosym.surgery
 from twosym import (
+    COLOURS,
     SWAP_01,
+    ColouredGraph,
     build_gf,
     build_graph,
     is_gem,
@@ -14,6 +17,7 @@ from twosym import (
     verify_sigma_constructively,
 )
 from twosym.catalogue import enumerate_admissible
+from twosym.graphs import cp_isomorphic
 
 
 def test_table_rows():
@@ -111,6 +115,106 @@ def test_verification_sweep():
         assert report.ok, (f, report.failures)
         checked += 1
     assert checked > 100
+
+
+def test_two_searches_per_verified_tuple(monkeypatch):
+    """Only the two cross blocks are searched against the moved graph;
+    every other match is checked against a map the surgery provides."""
+    searches = []
+
+    def record(g1, g2):
+        searches.append((g1, g2))
+        return cp_isomorphic(g1, g2)
+
+    monkeypatch.setattr(twosym.surgery, "cp_isomorphic", record)
+    moving = 0
+    for f in enumerate_admissible(11):
+        if f.q0 == 0:
+            continue
+        before = len(searches)
+        report = verify_sigma_constructively(f)
+        assert report.ok, (f, report.failures)
+        assert len(searches) - before == 2, f
+        moving += 1
+    assert moving == 592
+    assert len(searches) == 1184
+
+
+LADDER_FAILURE = "cancelling the inserted ladder does not restore the base"
+MATE_FAILURE = "cancelling the mate ladder does not yield the reversed base copy"
+PARTNER_FAILURE = "matches no reorientation of the move"
+
+
+@pytest.mark.parametrize(
+    "text,partner_name",
+    [("(1,3,3;2,2,2)", "mate cross block"), ("(3,1,3;2,2,2)", "cross block")],
+)
+def test_broken_half_exchange_fails_the_certificates(monkeypatch, text, partner_name):
+    """The mate ladder and the partner cross block are matched through
+    the half exchange; with two of its images swapped, both fail instead
+    of falling back to a search."""
+    real = twosym.surgery.reorientation_involution
+
+    def broken(trace):
+        phi = real(trace)
+        phi[0], phi[1] = phi[1], phi[0]
+        return phi
+
+    monkeypatch.setattr(twosym.surgery, "reorientation_involution", broken)
+    report = verify_sigma_constructively(parse_tuple(text))
+    assert not report.ok
+    assert MATE_FAILURE in report.failures
+    assert f"{partner_name} {PARTNER_FAILURE}" in report.failures
+
+
+def corrupt_one_weld(g, block, h):
+    """h with one weld of a colour other than the rung colour moved onto
+    another edge of that colour: still a valid graph, but not the
+    cancellation of block."""
+    kept = [v for v in range(g.n) if v not in block.vertices]
+    rows = [list(r) for r in h.involutions]
+    c, u = next(
+        (c, i)
+        for c in COLOURS
+        if c != block.rung_colour
+        for i in range(h.n)
+        if g.involutions[c][kept[i]] != kept[rows[c][i]]
+    )
+    row = rows[c]
+    w = row[u]
+    x = next(v for v in range(h.n) if v not in (u, w))
+    y = row[x]
+    row[u], row[y], row[x], row[w] = y, u, w, x
+    return ColouredGraph(tuple(tuple(r) for r in rows), h.labels)
+
+
+@pytest.mark.parametrize(
+    "text,block,failure",
+    [
+        ("(1,3,3;2,2,2)", "ladder", LADDER_FAILURE),
+        ("(3,1,3;2,2,2)", "ladder", LADDER_FAILURE),
+        ("(2,2,2;3,1,1)", "ladder", LADDER_FAILURE),
+        ("(1,3,3;2,2,2)", "ladder_mate", MATE_FAILURE),
+        ("(3,1,3;2,2,2)", "ladder_mate", MATE_FAILURE),
+        # the partners that match under SWAP_01, through the half exchange
+        ("(1,3,3;2,2,2)", "theta_mate", f"mate cross block {PARTNER_FAILURE}"),
+        ("(3,1,3;2,2,2)", "theta", f"cross block {PARTNER_FAILURE}"),
+    ],
+)
+def test_corrupted_weld_fails_its_check(monkeypatch, text, block, failure):
+    """A wrong weld in one block's cancellation fails that block's
+    check, and only that one, including the checks made against a map
+    the surgery provides rather than by search."""
+    f = parse_tuple(text)
+    target = getattr(build_gf(f), block)
+    real = twosym.surgery.cancel_block
+
+    def cancel(g, b):
+        h = real(g, b)
+        return corrupt_one_weld(g, b, h) if b == target else h
+
+    monkeypatch.setattr(twosym.surgery, "cancel_block", cancel)
+    assert verify_sigma_constructively(f).failures == (failure,)
 
 
 def test_verification_of_identity_case_fails_loudly():
