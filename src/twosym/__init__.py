@@ -25,9 +25,7 @@ from .graphs import (
     cp_isomorphic,
     embedding_euler,
     find_blocks,
-    find_dipoles,
     find_gluing_blocks,
-    insert_dipole,
     is_contracted,
     is_crystallization,
     is_gem,
@@ -86,8 +84,6 @@ from .tuples import (
     SixTuple,
     admissibility,
     build_graph,
-    complexity,
-    format_tuple,
     is_admissible,
     parse_tuple,
     rho_symmetry,

@@ -43,8 +43,9 @@ MAX_TUPLE_COMPLEXITY = 100_000
 # 4-5 s and peaked at 40 MB, and the bound 33 took 9-10 s and 66 MB.
 MAX_CATALOGUE_COMPLEXITY = 33
 
-# Largest `orbit --max-nodes`: ten times the default.  A walk of that
-# many nodes took about 140 s and peaked near 140 MB.  `orbit
+# Largest `orbit --max-nodes`: ten times the default.  On a 2-vCPU VM a
+# walk of that many nodes took about 10 s and peaked near 110 MB, and
+# 16,000 nodes took 1.5 s: the time is linear in the nodes.  `orbit
 # --max-complexity` may be at most MAX_TUPLE_COMPLEXITY, since its nodes
 # are tuples.
 MAX_ORBIT_NODES = 100_000
@@ -297,10 +298,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on the first main() call and reused: building the parser costs
+# far more than a parse.
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exit_:
         return 0 if exit_.code in (0, None) else 1
     try:

@@ -374,10 +374,6 @@ class Dipole:
     vertices: tuple[int, int]
     colours: tuple[int, ...]
 
-    @property
-    def type(self) -> int:
-        return len(self.colours)
-
 
 def _joining_colours(g: ColouredGraph, u: int, w: int) -> tuple[int, ...]:
     return tuple(c for c in COLOURS if g.involutions[c][u] == w)
@@ -394,22 +390,6 @@ def as_dipole(g: ColouredGraph, u: int, w: int) -> Dipole | None:
     return Dipole((min(u, w), max(u, w)), cols)
 
 
-def find_dipoles(g: ColouredGraph) -> list[Dipole]:
-    seen: set[tuple[int, int]] = set()
-    out = []
-    for u in range(g.n):
-        for c in COLOURS:
-            w = g.involutions[c][u]
-            pair = (min(u, w), max(u, w))
-            if pair in seen:
-                continue
-            seen.add(pair)
-            d = as_dipole(g, *pair)
-            if d is not None:
-                out.append(d)
-    return sorted(out, key=lambda d: d.vertices)
-
-
 def cancel_dipole(g: ColouredGraph, u: int, w: int) -> ColouredGraph:
     """Delete the dipole (u, w) and weld its hanging edges colourwise."""
     dip = as_dipole(g, u, w)
@@ -424,25 +404,6 @@ def cancel_dipole(g: ColouredGraph, u: int, w: int) -> ColouredGraph:
         rows[c][b] = a
     keep = [v for v in range(g.n) if v != u and v != w]
     return _compress(rows, keep, g.labels)
-
-
-def insert_dipole(g: ColouredGraph, colour: int, v: int) -> ColouredGraph:
-    """Split the colour-c edge at v with a fresh pair joined by the other
-    three colours (always a genuine dipole of type 3)."""
-    w = g.involutions[colour][v]
-    n = g.n
-    x, y = n, n + 1
-    rows = [list(g.involutions[c]) + [-1, -1] for c in COLOURS]
-    for c in COLOURS:
-        if c == colour:
-            rows[c][v], rows[c][x] = x, v
-            rows[c][w], rows[c][y] = y, w
-        else:
-            rows[c][x], rows[c][y] = y, x
-    labels = None
-    if g.labels is not None:
-        labels = g.labels + (("ins", n), ("ins", n + 1))
-    return ColouredGraph(tuple(tuple(r) for r in rows), labels)
 
 
 # -- blocks (ladders of parallel rungs between two residues) ----------------

@@ -28,47 +28,42 @@ from .graphs import ColouredGraph, is_contracted, is_gem
 from .tuples import SixTuple, _arrays_23, even_parities, require_admissible
 
 
-def smith_normal_form(
-    matrix: list[list[int]], certify: bool = False
-) -> list[int]:
+def smith_normal_form(matrix: list[list[int]]) -> list[int]:
     """Nonzero invariant factors d1 | d2 | ... of an integer matrix.
 
-    With certify=True the unimodular row/column operations are tracked
-    and the diagonalisation is re-multiplied against the input.
+    The unimodular row/column operations are tracked as U and V, and
+    U * matrix * V is re-multiplied against the diagonal form, so every
+    result carries its own proof.
     """
     m = len(matrix)
     n = len(matrix[0]) if m else 0
     if any(len(row) != n for row in matrix):
         raise ValueError("ragged matrix")
     a = [list(row) for row in matrix]
-    U = [[int(i == j) for j in range(m)] for i in range(m)] if certify else None
-    V = [[int(i == j) for j in range(n)] for i in range(n)] if certify else None
+    U = [[int(i == j) for j in range(m)] for i in range(m)]
+    V = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def row_sub(i: int, k: int, q: int) -> None:
         for j in range(n):
             a[i][j] -= q * a[k][j]
-        if U is not None:
-            for j in range(m):
-                U[i][j] -= q * U[k][j]
+        for j in range(m):
+            U[i][j] -= q * U[k][j]
 
     def col_sub(j: int, k: int, q: int) -> None:
         for i in range(m):
             a[i][j] -= q * a[i][k]
-        if V is not None:
-            for i in range(n):
-                V[i][j] -= q * V[i][k]
+        for i in range(n):
+            V[i][j] -= q * V[i][k]
 
     def row_swap(i: int, k: int) -> None:
         a[i], a[k] = a[k], a[i]
-        if U is not None:
-            U[i], U[k] = U[k], U[i]
+        U[i], U[k] = U[k], U[i]
 
     def col_swap(j: int, k: int) -> None:
         for row in a:
             row[j], row[k] = row[k], row[j]
-        if V is not None:
-            for row in V:
-                row[j], row[k] = row[k], row[j]
+        for row in V:
+            row[j], row[k] = row[k], row[j]
 
     t = 0
     while t < min(m, n):
@@ -124,21 +119,16 @@ def smith_normal_form(
     for i in range(len(diag) - 1):
         if diag[i + 1] % diag[i]:
             raise RuntimeError("broken divisibility chain")
-    if certify:
-        if U is None or V is None:
-            raise RuntimeError("certificate transforms were not tracked")
-        prod = [
-            [sum(U[i][k] * matrix[k][j] for k in range(m)) for j in range(n)]
-            for i in range(m)
-        ]
-        prod = [
-            [sum(prod[i][k] * V[k][j] for k in range(n)) for j in range(n)]
-            for i in range(m)
-        ]
-        if prod != a:
-            raise RuntimeError(
-                "re-multiplication does not reproduce the diagonal form"
-            )
+    prod = [
+        [sum(U[i][k] * matrix[k][j] for k in range(m)) for j in range(n)]
+        for i in range(m)
+    ]
+    prod = [
+        [sum(prod[i][k] * V[k][j] for k in range(n)) for j in range(n)]
+        for i in range(m)
+    ]
+    if prod != a:
+        raise RuntimeError("re-multiplication does not reproduce the diagonal form")
     return diag
 
 

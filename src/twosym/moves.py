@@ -8,7 +8,7 @@ the complexity by delta; it is the identity exactly when q0 = 0.
 
 The relabelling orbit, the representative filter and the move's
 rewriting are kernels on plain int 6-tuples (_orbit_fields, _passes,
-_canonical_fields, _move); h_orbit, passes_representative_filter,
+_canonical_fields, _move, _neighbour_fields); h_orbit, is_canonical,
 canonical, sigma and sigma_neighbors wrap them and build a SixTuple
 only for a result the caller keeps.  Validation stays where a tuple can
 go wrong: a relabelling image of a valid tuple is valid, so orbit
@@ -20,7 +20,7 @@ canonicalised.
 
 from __future__ import annotations
 
-from .tuples import ConditionError, SixTuple, require_admissible
+from .tuples import ConditionError, SixTuple, even_parities, require_admissible
 
 
 def psi1(f: SixTuple) -> SixTuple:
@@ -120,13 +120,19 @@ def _passes(h0: int, h1: int, h2: int, q0: int, q1: int, q2: int) -> bool:
     return True
 
 
-def passes_representative_filter(g: SixTuple) -> bool:
-    """The representative filter (see _passes) on g's coordinates."""
-    return _passes(g.h0, g.h1, g.h2, g.q0, g.q1, g.q2)
+def is_canonical(f: SixTuple) -> bool:
+    """Whether f is its orbit's distinguished member.
+
+    The filter passes exactly one member of every orbit (see canonical),
+    so f is canonical exactly when it passes: a test on f's own
+    coordinates, with no orbit built.  canonical() keeps the orbit-wide
+    count check.
+    """
+    return _passes(f.h0, f.h1, f.h2, f.q0, f.q1, f.q2)
 
 
 def canonical_candidates(f: SixTuple) -> list[SixTuple]:
-    return [g for g in h_orbit(f) if passes_representative_filter(g)]
+    return [g for g in h_orbit(f) if is_canonical(g)]
 
 
 def _canonical_fields(h: tuple[int, int, int], q: tuple[int, int, int]) -> tuple:
@@ -150,17 +156,6 @@ def canonical(f: SixTuple) -> SixTuple:
     return SixTuple._trusted(_canonical_fields(f.h, f.q))
 
 
-def is_canonical(f: SixTuple) -> bool:
-    """Whether f is its orbit's distinguished member.
-
-    The filter passes exactly one member of every orbit (see canonical),
-    so f is canonical exactly when it passes: a test on f's own
-    coordinates, with no orbit built.  canonical() keeps the orbit-wide
-    count check.
-    """
-    return passes_representative_filter(f)
-
-
 # -- the 2-symmetric move ----------------------------------------------------
 
 
@@ -170,9 +165,9 @@ def delta(f: SixTuple) -> int:
     Needs the h+q parity condition so the four guards below are
     exhaustive (q0 can never equal h0 or h2).
     """
-    for i in range(3):
-        if (f.h[i] + f.q[i]) % 2 == 0:
-            raise ConditionError("h+q parity", f"h{i}+q{i} even in {f}")
+    even = even_parities(f)
+    if even:
+        raise ConditionError("h+q parity", f"h{even[0]}+q{even[0]} even in {f}")
     h0, h1, h2 = f.h
     q0 = f.q0
     if q0 == 0:
@@ -220,17 +215,16 @@ def sigma(f: SixTuple) -> SixTuple:
     return SixTuple.reduce(*_move(f.h0, f.h1, f.h2, f.q0, f.q1, f.q2))
 
 
-def sigma_neighbors(f: SixTuple) -> list[SixTuple]:
-    """Canonical forms reachable by one move from any rotation of f,
-    excluding f's own canonical form; sorted.
+def _neighbour_fields(base: tuple) -> list[tuple]:
+    """sigma_neighbors of the canonical int 6-tuple base, as sorted int
+    6-tuples.  base must be admissible and is not checked: the move
+    keeps admissibility, so a walk that checked its start (explore) need
+    not check the tuples it reaches.
 
-    Admissibility is constant on relabelling orbits, so it is tested
-    once, on the canonical form.  The rotations psi1 and psi1^2 are
-    index permutations that carry each q_i with its modulus, so they
-    need no reduction; a rotation with q0 = 0 is fixed by the move.
+    The rotations psi1 and psi1^2 are index permutations that carry each
+    q_i with its modulus, so they need no reduction; a rotation with
+    q0 = 0 is fixed by the move.
     """
-    base = _canonical_fields(f.h, f.q)
-    require_admissible(SixTuple._trusted(base))
     h0, h1, h2, q0, q1, q2 = base
     out = set()
     for g in (base, (h1, h2, h0, q1, q2, q0), (h2, h0, h1, q2, q0, q1)):
@@ -238,4 +232,16 @@ def sigma_neighbors(f: SixTuple) -> list[SixTuple]:
             moved = SixTuple.reduce(*_move(*g))
             out.add(_canonical_fields(moved.h, moved.q))
     out.discard(base)
-    return [SixTuple._trusted(g) for g in sorted(out)]
+    return sorted(out)
+
+
+def sigma_neighbors(f: SixTuple) -> list[SixTuple]:
+    """Canonical forms reachable by one move from any rotation of f,
+    excluding f's own canonical form; sorted.
+
+    Admissibility is constant on relabelling orbits, so it is tested
+    once, on the canonical form.
+    """
+    base = _canonical_fields(f.h, f.q)
+    require_admissible(SixTuple._trusted(base))
+    return [SixTuple._trusted(g) for g in _neighbour_fields(base)]

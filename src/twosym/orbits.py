@@ -24,7 +24,15 @@ from collections import deque
 from dataclasses import dataclass
 
 from .moves import (
-    _orbit_fields, canonical, delta, is_canonical, psi1, psi2, sigma, sigma_neighbors
+    _canonical_fields,
+    _neighbour_fields,
+    _orbit_fields,
+    canonical,
+    delta,
+    is_canonical,
+    psi1,
+    psi2,
+    sigma,
 )
 from .tuples import SixTuple, require_admissible, zero_q_count
 
@@ -260,9 +268,6 @@ class OrbitGraph:
     def closed(self) -> bool:
         return not self.frontier and not self.truncated
 
-    def degree(self, f: SixTuple) -> int:
-        return sum(1 for e in self.edges if f in e)
-
 
 def explore(
     f: SixTuple, max_complexity: int, max_nodes: int = 10_000
@@ -272,19 +277,21 @@ def explore(
     Neighbours beyond max_complexity are not entered (their source is
     marked frontier); once max_nodes tuples are collected no new ones
     are added and the graph is marked truncated.  A closed result is the
-    complete orbit, which every trap must reach.
+    complete orbit, which every trap must reach.  Only the start's
+    admissibility is checked (see moves._neighbour_fields), and the walk
+    runs on int 6-tuples.
     """
     require_admissible(f)
-    start = canonical(f)
+    start = _canonical_fields(f.h, f.q)
     nodes = {start}
-    edges: set[tuple[SixTuple, SixTuple]] = set()
-    frontier: set[SixTuple] = set()
+    edges: set[tuple[tuple, tuple]] = set()
+    frontier: set[tuple] = set()
     truncated = False
     queue = deque([start])
     while queue:
         g = queue.popleft()
-        for nb in sigma_neighbors(g):
-            if nb.upsilon > max_complexity:
+        for nb in _neighbour_fields(g):
+            if nb[0] + nb[1] + nb[2] > max_complexity:
                 frontier.add(g)
                 continue
             if nb not in nodes:
@@ -295,10 +302,11 @@ def explore(
                 nodes.add(nb)
                 queue.append(nb)
             edges.add((min(g, nb), max(g, nb)))
+    made = {g: SixTuple._trusted(g) for g in sorted(nodes)}
     return OrbitGraph(
-        start,
-        tuple(sorted(nodes)),
-        tuple(sorted(edges)),
-        tuple(sorted(frontier)),
+        made[start],
+        tuple(made.values()),
+        tuple((made[a], made[b]) for a, b in sorted(edges)),
+        tuple(made[g] for g in sorted(frontier)),
         truncated,
     )

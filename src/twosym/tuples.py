@@ -98,14 +98,6 @@ def parse_tuple(text: str) -> SixTuple:
     return SixTuple(*nums)
 
 
-def format_tuple(f: SixTuple) -> str:
-    return str(f)
-
-
-def complexity(f: SixTuple) -> int:
-    return f.upsilon
-
-
 # -- graph construction ------------------------------------------------------
 
 

@@ -196,6 +196,18 @@ def test_tsv_rejects_wrong_minimal_and_root_cells():
         records_from_tsv(text.replace(row, root))
 
 
+def test_tsv_rejects_a_wrong_warnings_cell():
+    lines = records_to_tsv(build_catalogue(7)).splitlines()
+    note = "two vanishing shifts: lower-genus tuple, ascent not applicable"
+    noted = next(i for i, ln in enumerate(lines) if ln.endswith("\t" + note))
+    plain = next(i for i, ln in enumerate(lines) if ln.endswith("\t"))
+    for i, cell in ((noted, ""), (plain, "bogus note")):
+        bad = list(lines)
+        bad[i] = bad[i].rsplit("\t", 1)[0] + "\t" + cell
+        with pytest.raises(ValueError, match="warnings column disagrees"):
+            records_from_tsv("\n".join(bad) + "\n")
+
+
 def test_tsv_rejects_malformed_flags():
     text = records_to_tsv(build_catalogue(5))
     row = "(1,1,3;2,0,2)\t5\ttrue\t1,3\ttrue\ttrue\t"

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import twosym
+from twosym import cli
 from twosym.cli import (
     MAX_CATALOGUE_COMPLEXITY,
     MAX_ORBIT_NODES,
@@ -23,6 +24,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    monkeypatch.setattr(cli, "_parser", None, raising=False)
+    assert run(capsys, "canonical", "(3,1,3;2,2,2)") == (0, "(1,3,3;2,2,2)\n", "")
+    assert run(capsys, "psi", "1", "(1,3,3;2,2,2)")[0] == 0
+    assert len(built) == 1
 
 
 def test_tuple_from_args_forms():

@@ -12,9 +12,7 @@ from twosym import (
     cp_isomorphic,
     embedding_euler,
     find_blocks,
-    find_dipoles,
     find_gluing_blocks,
-    insert_dipole,
     is_contracted,
     is_crystallization,
     is_gem,
@@ -138,27 +136,11 @@ def test_blocks_in_a_crystallization_are_not_gluing():
     assert find_gluing_blocks(g, (0, 1), 2) == []
 
 
-def test_dipole_insert_cancel_round_trip():
-    g = graph("(1,3,3;2,2,2)")
-    g2 = insert_dipole(g, 2, 0)
-    assert g2.n == g.n + 2
-    assert is_gem(g2)
-    pair = next(d for d in find_dipoles(g2) if d.vertices == (g.n, g.n + 1))
-    assert pair.type == 3
-    g3 = cancel_dipole(g2, g.n, g.n + 1)
-    assert g3.involutions == g.involutions
-
-
 def test_cancel_requires_a_genuine_dipole():
     g = graph("(1,1,1;0,0,0)")
     # vertices 0 and 3 share no edge at all
     with pytest.raises(ValueError):
         cancel_dipole(g, 0, g.involutions[2][g.involutions[0][0]])
-
-
-def test_dipole_counts():
-    assert len(find_dipoles(graph("(1,1,1;0,0,0)"))) == 6
-    assert len(find_dipoles(graph("(1,3,3;2,2,2)"))) == 2
 
 
 def test_colour_permutation_round_trip():

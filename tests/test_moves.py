@@ -24,7 +24,6 @@ from twosym import (
 )
 from twosym import moves
 from twosym.catalogue import enumerate_admissible, enumerate_candidates
-from twosym.moves import passes_representative_filter
 
 
 def test_psi_formulas():
@@ -216,7 +215,7 @@ def test_canonical_is_the_unique_passer_of_the_orbit():
     """The int kernel behind canonical picks what filtering h_orbit's
     tuples picks, on every scan candidate up to 13, admissible or not."""
     for f in enumerate_candidates(13):
-        passers = [g for g in h_orbit(f) if passes_representative_filter(g)]
+        passers = [g for g in h_orbit(f) if is_canonical(g)]
         assert passers == [canonical(f)], f
 
 

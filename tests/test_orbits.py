@@ -1,11 +1,15 @@
 """Traps, minimality, roots, ascent witnesses and orbit exploration."""
 
+from collections import deque
+
 import pytest
 
 from twosym import (
     OrbitGraph,
     TrapWitness,
+    admissibility,
     ascend_witness,
+    canonical,
     delta,
     descent_minimal,
     descent_root,
@@ -16,6 +20,7 @@ from twosym import (
     minimize,
     parse_tuple,
     psi1,
+    sigma_neighbors,
 )
 from twosym.catalogue import enumerate_canonical
 
@@ -183,7 +188,58 @@ def test_explore_edges_are_normalised():
     for a, b in g.edges:
         assert a < b
         assert a in g.nodes and b in g.nodes
-        assert g.degree(a) <= 3 and g.degree(b) <= 3
+
+
+def walk_over_sigma_neighbors(f, max_complexity, max_nodes):
+    """explore's breadth-first walk, stepping through the public
+    sigma_neighbors, which checks every node's admissibility."""
+    start = canonical(f)
+    nodes, edges, frontier, truncated = {start}, set(), set(), False
+    queue = deque([start])
+    while queue:
+        g = queue.popleft()
+        for nb in sigma_neighbors(g):
+            if nb.upsilon > max_complexity:
+                frontier.add(g)
+                continue
+            if nb not in nodes:
+                if len(nodes) >= max_nodes:
+                    truncated = True
+                    frontier.add(g)
+                    continue
+                nodes.add(nb)
+                queue.append(nb)
+            edges.add((min(g, nb), max(g, nb)))
+    return OrbitGraph(
+        start,
+        tuple(sorted(nodes)),
+        tuple(sorted(edges)),
+        tuple(sorted(frontier)),
+        truncated,
+    )
+
+
+@pytest.mark.parametrize(
+    "text, max_complexity, max_nodes",
+    [
+        ("(1,3,3;2,2,2)", 40, 10_000),  # bounded by complexity
+        ("(3,1,3;2,2,2)", 10_000, 300),  # truncated, from a non-canonical start
+        ("(1,1,3;2,0,2)", 20, 10_000),  # a trap: closed
+        ("(5,7,9;4,6,8)", 80, 500),
+    ],
+)
+def test_explore_is_the_walk_over_sigma_neighbors(text, max_complexity, max_nodes):
+    f = parse_tuple(text)
+    expected = walk_over_sigma_neighbors(f, max_complexity, max_nodes)
+    assert explore(f, max_complexity, max_nodes) == expected
+    assert len(expected.nodes) > 1 or expected.closed
+
+
+def test_explore_checks_admissibility_of_its_start_only():
+    admissibility.cache_clear()
+    g = explore(parse_tuple("(1,3,3;2,2,2)"), 200, 500)
+    assert len(g.nodes) == 500
+    assert admissibility.cache_info().currsize == 1
 
 
 def test_orbit_graph_rejects_overfull_degree():

@@ -17,6 +17,7 @@ from twosym import (
     h1,
     h1_of_tuple,
     h1_presentation,
+    h_orbit,
     is_admissible,
     is_canonical,
     permute_colours,
@@ -80,6 +81,16 @@ def test_sampled_sigma_neighbors_is_the_move_on_each_rotation():
         c = canonical(f)
         expected = {canonical(sigma(g)) for g in (c, psi1(c), psi1(psi1(c)))}
         assert sigma_neighbors(f) == sorted(expected - {c}), f
+
+
+def test_move_images_are_admissible():
+    """The move keeps admissibility, which lets explore check only its
+    start: every move image of every admissible tuple up to 15 and of
+    every relabelling of SAMPLE is admissible."""
+    tuples = list(enumerate_admissible(15))
+    tuples += [g for f in SAMPLE for g in h_orbit(f)]
+    for f in tuples:
+        assert is_admissible(sigma(f)), f
 
 
 def assert_closed_form_matches_smith_route(f):

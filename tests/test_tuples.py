@@ -7,9 +7,7 @@ from twosym import (
     SixTuple,
     admissibility,
     build_graph,
-    complexity,
     embedding_euler,
-    format_tuple,
     h_orbit,
     is_admissible,
     is_crystallization,
@@ -28,7 +26,6 @@ def test_accessors():
     assert f.q == (2, 2, 2)
     assert (f.two_l(0), f.two_l(1), f.two_l(2)) == (4, 4, 6)
     assert f.upsilon == 7
-    assert complexity(f) == 7
     assert str(f) == "(1,3,3;2,2,2)"
 
 
@@ -71,7 +68,6 @@ def test_parse_and_format():
     assert parse_tuple("(1,3,3;2,2,2)") == f
     assert parse_tuple("1,3,3,2,2,2") == f
     assert parse_tuple(" ( 1, 3, 3 ; 2, 2, 2 ) ") == f
-    assert parse_tuple(format_tuple(f)) == f
     assert parse_tuple(str(f)) == f
 
 
