@@ -86,23 +86,10 @@ class ColouredGraph:
     def components(self, colours: tuple[int, ...]) -> list[list[int]]:
         """Connected components of the subgraph with the given colours,
         each as a sorted vertex list, ordered by smallest vertex."""
-        seen = [False] * self.n
-        out: list[list[int]] = []
-        for v0 in range(self.n):
-            if seen[v0]:
-                continue
-            comp = [v0]
-            seen[v0] = True
-            stack = [v0]
-            while stack:
-                v = stack.pop()
-                for c in colours:
-                    w = self.involutions[c][v]
-                    if not seen[w]:
-                        seen[w] = True
-                        comp.append(w)
-                        stack.append(w)
-            out.append(sorted(comp))
+        idx = self.residue_index(colours)
+        out: list[list[int]] = [[] for _ in range(max(idx, default=-1) + 1)]
+        for v, i in enumerate(idx):
+            out[i].append(v)
         return out
 
     def bicoloured_cycles(self, c: int, d: int) -> list[list[int]]:
@@ -143,11 +130,24 @@ class ColouredGraph:
         return self.components(tuple(d for d in COLOURS if d != c))
 
     def residue_index(self, colours: tuple[int, ...]) -> list[int]:
-        """residue_index[v] = position of v's residue in residues(colours)."""
+        """residue_index[v] = position of v's residue in residues(colours),
+        the residues numbered in the order of their smallest vertices."""
+        rows = [self.involutions[c] for c in colours]
         idx = [-1] * self.n
-        for i, cls in enumerate(self.residues(colours)):
-            for v in cls:
-                idx[v] = i
+        k = 0
+        for v0 in range(self.n):
+            if idx[v0] != -1:
+                continue
+            idx[v0] = k
+            stack = [v0]
+            while stack:
+                v = stack.pop()
+                for row in rows:
+                    w = row[v]
+                    if idx[w] == -1:
+                        idx[w] = k
+                        stack.append(w)
+            k += 1
         return idx
 
     def bipartition(self) -> tuple[int, ...] | None:
@@ -170,7 +170,27 @@ class ColouredGraph:
         return tuple(cls)
 
     def is_connected(self) -> bool:
-        return len(self.components(COLOURS)) <= 1
+        """True when the walk from vertex 0 reaches every vertex; the walk
+        stops as soon as it has."""
+        n = self.n
+        if n == 0:
+            return True
+        rows = self.involutions
+        seen = [False] * n
+        seen[0] = True
+        reached = 1
+        stack = [0]
+        while stack:
+            v = stack.pop()
+            for row in rows:
+                w = row[v]
+                if not seen[w]:
+                    seen[w] = True
+                    reached += 1
+                    stack.append(w)
+            if reached == n:
+                return True
+        return False
 
 
 def _compress(
@@ -301,22 +321,32 @@ def cp_isomorphic(g1: ColouredGraph, g2: ColouredGraph) -> list[int] | None:
     Inputs must be connected.  A disconnected input raises ValueError,
     but connectivity is only tested where the search depends on it: when
     a propagation succeeds without reaching every vertex, and before
-    answering None.  The search does not re-validate its inputs, so a
-    graph made by ``ColouredGraph._trusted`` must be derived from a
-    validated one.  When a candidate map is already known, ``_is_cp_map``
+    answering None, by one walk per graph from vertex 0
+    (``ColouredGraph.is_connected``).  The search does not re-validate
+    its inputs, so a graph made by ``ColouredGraph._trusted`` must be
+    derived from a validated one.  A caller that searches several graphs
+    against one target computes the target's signatures once and calls
+    ``_cp_search``; when a candidate map is already known, ``_is_cp_map``
     checks it in one pass instead of searching.
     """
+    return _cp_search(g1, g2, _signatures(g2))
+
+
+def _cp_search(
+    g1: ColouredGraph, g2: ColouredGraph, sig2: list[tuple[int, ...]]
+) -> list[int] | None:
+    """cp_isomorphic(g1, g2), given sig2 = _signatures(g2)."""
     if g1.n != g2.n:
         return None
     if g1.n == 0:
         return []
     n = g1.n
     sig1 = _signatures(g1)
-    sig2 = _signatures(g2)
     counts = Counter(sig1)
     rarest = min(counts.values())
     anchor = next(v for v in range(n) if counts[sig1[v]] == rarest)
     anchor_sig = sig1[anchor]
+    rows = tuple(zip(g1.involutions, g2.involutions))
     for target in range(n):
         if sig2[target] != anchor_sig:
             continue
@@ -328,9 +358,10 @@ def cp_isomorphic(g1: ColouredGraph, g2: ColouredGraph) -> list[int] | None:
         ok = True
         while queue and ok:
             v = queue.pop()
-            for c in COLOURS:
-                a = g1.involutions[c][v]
-                b = g2.involutions[c][phi[v]]
+            image = phi[v]
+            for row1, row2 in rows:
+                a = row1[v]
+                b = row2[image]
                 if phi[a] == -1:
                     if used[b]:
                         ok = False
@@ -443,63 +474,80 @@ def find_blocks(
     blocks and are skipped, as are ladders whose two sides lie in the
     same side-coloured residue.
     """
+    return _find_blocks(
+        g,
+        side_colours,
+        rung_colour,
+        g.residue_index(side_colours),
+        g.residue_index(tuple(c for c in COLOURS if c != rung_colour)),
+    )
+
+
+def _find_blocks(
+    g: ColouredGraph,
+    side_colours: tuple[int, int],
+    rung_colour: int,
+    res_idx: list[int],
+    hat_idx: list[int],
+) -> list[Block]:
+    """find_blocks, given the residue_index of the side colours and of
+    the hat of the rung colour.
+
+    Every rung is walked once.  stamp[v] numbers the walk that reached
+    the rung through v (0 before any has), so a rung met again by its own
+    walk closes the ladder and one stamped by any walk is not restarted.
+    """
     p, q = side_colours
-    res_idx = g.residue_index((p, q))
-    hat_idx = g.residue_index(tuple(c for c in COLOURS if c != rung_colour))
-
-    def neighbour(pair: tuple[int, int], c: int) -> tuple[int, int] | None:
-        # the parallel rung across colour c, when both side edges land
-        # on another rung-colour edge
-        x2, y2 = g.involutions[c][pair[0]], g.involutions[c][pair[1]]
-        return (x2, y2) if g.involutions[rung_colour][x2] == y2 else None
-
-    done: set[frozenset[int]] = set()
+    inv = g.involutions
+    rung, side_p, side_q = inv[rung_colour], inv[p], inv[q]
+    stamp = [0] * g.n
+    walk = 0
     blocks: list[Block] = []
     for v in range(g.n):
-        w = g.involutions[rung_colour][v]
-        start = (min(v, w), max(v, w))
-        if frozenset(start) in done:
+        if stamp[v]:
             continue
-        # walk in both directions with alternating side colours
-        chain = [start]
-        rungs = {frozenset(start)}
+        w = rung[v]
+        walk += 1
+        stamp[v] = stamp[w] = walk
+        start = (v, w) if v < w else (w, v)
+        # walk in both directions with alternating side colours: the
+        # rungs found from start across p come after it, across q before
+        after: list[tuple[int, int]] = []
+        before: list[tuple[int, int]] = []
         closed = False
-        for first_c, grow_front in ((p, False), (q, True)):
-            cur, c = start, first_c
+        for row, other, grown in ((side_p, side_q, after), (side_q, side_p, before)):
+            x, y = start
             while True:
-                nxt = neighbour(cur, c)
-                if nxt is None or frozenset(nxt) == frozenset(cur):
+                x2, y2 = row[x], row[y]
+                if rung[x2] != y2 or x2 == x or x2 == y:
                     break
-                if frozenset(nxt) in rungs:
+                if stamp[x2] == walk:
                     closed = True
                     break
-                if grow_front:
-                    chain.insert(0, nxt)
-                else:
-                    chain.append(nxt)
-                rungs.add(frozenset(nxt))
-                cur = nxt
-                c = p if c == q else q
+                grown.append((x2, y2))
+                stamp[x2] = stamp[y2] = walk
+                x, y = x2, y2
+                row, other = other, row
             if closed:
                 break
-        done |= rungs
         if closed:
             continue
-        # orient the two sides consistently along the chain
-        side_a = [chain[0][0]]
-        side_b = [chain[0][1]]
-        for k in range(1, len(chain)):
-            step = next(
-                c
-                for c in (p, q)
-                if g.involutions[c][side_a[-1]] in chain[k]
-                and g.involutions[rung_colour][g.involutions[c][side_a[-1]]]
-                == g.involutions[c][side_b[-1]]
-            )
-            side_a.append(g.involutions[step][side_a[-1]])
-            side_b.append(g.involutions[step][side_b[-1]])
-        if res_idx[side_a[0]] == res_idx[side_b[0]]:
+        chain = before[::-1] + [start] + after
+        a, b = chain[0]
+        if res_idx[a] == res_idx[b]:
             continue
+        # orient the two sides consistently along the chain
+        side_a = [a]
+        side_b = [b]
+        for pair in chain[1:]:
+            step = next(
+                row
+                for row in (side_p, side_q)
+                if row[a] in pair and rung[row[a]] == row[b]
+            )
+            a, b = step[a], step[b]
+            side_a.append(a)
+            side_b.append(b)
         # normalise the representation: smallest corner first on side_a
         reps = [
             (tuple(side_a), tuple(side_b)),
@@ -507,14 +555,14 @@ def find_blocks(
             (tuple(side_b), tuple(side_a)),
             (tuple(reversed(side_b)), tuple(reversed(side_a))),
         ]
-        a, b = min(reps)
+        a_side, b_side = min(reps)
         blocks.append(
             Block(
                 (min(p, q), max(p, q)),
                 rung_colour,
-                a,
-                b,
-                gluing=hat_idx[a[0]] != hat_idx[b[0]],
+                a_side,
+                b_side,
+                gluing=hat_idx[a_side[0]] != hat_idx[b_side[0]],
             )
         )
     return sorted(blocks, key=lambda b: (b.side_a, b.side_b))

@@ -26,10 +26,11 @@ to the graph of sigma(f) is recorded as the exact block, and the other
 is tried under each reorientation in REORIENTATIONS order.  That swap is
 SWAP_01, or the identity when both blocks cancel exactly.
 
-Only two matches are searched for (graphs.cp_isomorphic): each cross
-block's cancellation against the graph of sigma(f), once each.  The
-others are checked against a map the construction already knows
-(graphs._is_cp_map), in one pass and more strictly than a search:
+Only two matches are searched for (graphs._cp_search, the search behind
+graphs.cp_isomorphic): each cross block's cancellation against the graph
+of sigma(f), once each.  The others are checked against a map the
+construction already knows (graphs._is_cp_map), in one pass and more
+strictly than a search:
 
 - the inserted ladder occupies the vertices after those of f's graph,
   so its cancellation must be that graph array for array and label for
@@ -45,6 +46,13 @@ others are checked against a map the construction already knows
 A half exchange that fails any of its checks fails the mate ladder's
 check, and the partner's unless it cancels exactly; neither falls back
 to a search.
+
+Each partition of the split graph is computed once per tuple: build_gf
+indexes its {0,1}-cycles and its colour-3 complements (the hat-3
+components, whose count must be 2) and hands both indices to the block
+finder, which walks every colour-3 rung once.  The moved graph's vertex
+signatures are likewise computed once and shared by the cross-block
+searches (graphs._cp_search).
 """
 
 from __future__ import annotations
@@ -55,11 +63,12 @@ from .graphs import (
     COLOURS,
     Block,
     ColouredGraph,
+    _cp_search,
+    _find_blocks,
     _is_cp_map,
     _kept,
+    _signatures,
     cancel_block,
-    cp_isomorphic,
-    find_gluing_blocks,
     permute_colours,
 )
 from .moves import sigma
@@ -220,9 +229,11 @@ def build_gf(f: SixTuple) -> SurgeryTrace:
             if big.adj(0, a) != b and big.adj(1, a) != b:
                 raise SurgeryError("split", "expected half cycle is not a cycle")
 
-    pieces = big.hat(3)
-    if len(pieces) != 2:
-        raise SurgeryError("pieces", f"{len(pieces)} colour-3 complements (need 2)")
+    # each partition is computed once, here, and handed to the block finder
+    hat_idx = big.residue_index((0, 1, 2))
+    pieces = max(hat_idx) + 1
+    if pieces != 2:
+        raise SurgeryError("pieces", f"{pieces} colour-3 complements (need 2)")
 
     res_idx = big.residue_index((0, 1))
     n_res = max(res_idx) + 1
@@ -236,7 +247,9 @@ def build_gf(f: SixTuple) -> SurgeryTrace:
     }
 
     by_pair: dict[frozenset[int], list[Block]] = {}
-    for b in find_gluing_blocks(big, (0, 1), 3):
+    for b in _find_blocks(big, (0, 1), 3, res_idx, hat_idx):
+        if not b.gluing:
+            continue
         pair = frozenset((res_idx[b.side_a[0]], res_idx[b.side_b[0]]))
         by_pair.setdefault(pair, []).append(b)
 
@@ -417,7 +430,8 @@ def verify_sigma_constructively(f: SixTuple) -> SigmaVerification:
     # which no working surgery reaches, are searched
     blocks = (trace.theta, trace.theta_mate)
     cancelled = [cancel_block(g, b) for b in blocks]
-    found = [cp_isomorphic(h, moved_graph) for h in cancelled]
+    moved_sig = _signatures(moved_graph)
+    found = [_cp_search(h, moved_graph, moved_sig) for h in cancelled]
     exact_block: str | None = None
     orientation_swap: tuple[int, int, int, int] | None = None
     for e, name, partner_name in (
@@ -442,7 +456,7 @@ def verify_sigma_constructively(f: SixTuple) -> SigmaVerification:
                 )
             else:
                 matched = (
-                    cp_isomorphic(permute_colours(partner, p), moved_graph)
+                    _cp_search(permute_colours(partner, p), moved_graph, moved_sig)
                     is not None
                 )
             if matched:

@@ -16,7 +16,6 @@ from twosym import (
     canonical_candidates,
     delta,
     h1,
-    is_minimal,
     is_root,
     is_trap,
     minimize,

@@ -7,8 +7,6 @@ import pytest
 
 from twosym import (
     SUITES,
-    AbelianGroupSignature,
-    CatalogueRecord,
     assign_orbit_ids,
     build_catalogue,
     canonical,

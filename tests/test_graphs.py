@@ -1,9 +1,13 @@
 """Coloured-graph machinery: residues, dipoles, blocks, embeddings."""
 
+from itertools import combinations
+
 import pytest
+from test_sampled import SAMPLE
 
 from twosym import (
     COLOURS,
+    Block,
     ColouredGraph,
     build_graph,
     cancel_block,
@@ -66,6 +70,118 @@ def all_anchors_isomorphism(g1, g2):
         if ok and all(x != -1 for x in phi):
             return phi
     return None
+
+
+def reference_components(g, colours):
+    """Reference walk: the sorted-component search that components and
+    residue_index replaced."""
+    seen = [False] * g.n
+    out = []
+    for v0 in range(g.n):
+        if seen[v0]:
+            continue
+        comp = [v0]
+        seen[v0] = True
+        stack = [v0]
+        while stack:
+            v = stack.pop()
+            for c in colours:
+                w = g.involutions[c][v]
+                if not seen[w]:
+                    seen[w] = True
+                    comp.append(w)
+                    stack.append(w)
+        out.append(sorted(comp))
+    return out
+
+
+def reference_residue_index(g, colours):
+    idx = [-1] * g.n
+    for i, cls in enumerate(reference_components(g, colours)):
+        for v in cls:
+            idx[v] = i
+    return idx
+
+
+def reference_find_blocks(g, side_colours, rung_colour):
+    """Reference block finder: the frozenset walk that the stamped array
+    walk replaced, with its residue indices taken from the reference
+    walk."""
+    p, q = side_colours
+    res_idx = reference_residue_index(g, (p, q))
+    hat_idx = reference_residue_index(g, tuple(c for c in COLOURS if c != rung_colour))
+
+    def neighbour(pair, c):
+        # the parallel rung across colour c, when both side edges land
+        # on another rung-colour edge
+        x2, y2 = g.involutions[c][pair[0]], g.involutions[c][pair[1]]
+        return (x2, y2) if g.involutions[rung_colour][x2] == y2 else None
+
+    done = set()
+    blocks = []
+    for v in range(g.n):
+        w = g.involutions[rung_colour][v]
+        start = (min(v, w), max(v, w))
+        if frozenset(start) in done:
+            continue
+        # walk in both directions with alternating side colours
+        chain = [start]
+        rungs = {frozenset(start)}
+        closed = False
+        for first_c, grow_front in ((p, False), (q, True)):
+            cur, c = start, first_c
+            while True:
+                nxt = neighbour(cur, c)
+                if nxt is None or frozenset(nxt) == frozenset(cur):
+                    break
+                if frozenset(nxt) in rungs:
+                    closed = True
+                    break
+                if grow_front:
+                    chain.insert(0, nxt)
+                else:
+                    chain.append(nxt)
+                rungs.add(frozenset(nxt))
+                cur = nxt
+                c = p if c == q else q
+            if closed:
+                break
+        done |= rungs
+        if closed:
+            continue
+        # orient the two sides consistently along the chain
+        side_a = [chain[0][0]]
+        side_b = [chain[0][1]]
+        for k in range(1, len(chain)):
+            step = next(
+                c
+                for c in (p, q)
+                if g.involutions[c][side_a[-1]] in chain[k]
+                and g.involutions[rung_colour][g.involutions[c][side_a[-1]]]
+                == g.involutions[c][side_b[-1]]
+            )
+            side_a.append(g.involutions[step][side_a[-1]])
+            side_b.append(g.involutions[step][side_b[-1]])
+        if res_idx[side_a[0]] == res_idx[side_b[0]]:
+            continue
+        # normalise the representation: smallest corner first on side_a
+        reps = [
+            (tuple(side_a), tuple(side_b)),
+            (tuple(reversed(side_a)), tuple(reversed(side_b))),
+            (tuple(side_b), tuple(side_a)),
+            (tuple(reversed(side_b)), tuple(reversed(side_a))),
+        ]
+        a, b = min(reps)
+        blocks.append(
+            Block(
+                (min(p, q), max(p, q)),
+                rung_colour,
+                a,
+                b,
+                gluing=hat_idx[a[0]] != hat_idx[b[0]],
+            )
+        )
+    return sorted(blocks, key=lambda b: (b.side_a, b.side_b))
 
 
 def is_colour_preserving_bijection(phi, g1, g2):
@@ -148,6 +264,47 @@ def test_colour_permutation_round_trip():
     p = (2, 3, 1, 0)
     inv_p = tuple(p.index(c) for c in COLOURS)
     assert permute_colours(permute_colours(g, p), inv_p).involutions == g.involutions
+
+
+def block_fields(blocks):
+    """Block lists compare without their gluing flags; list them too."""
+    return [(b.side_colours, b.rung_colour, b.side_a, b.side_b, b.gluing) for b in blocks]
+
+
+def test_array_passes_agree_with_the_reference_walks():
+    """On the split graph of every moving admissible tuple up to
+    complexity 11 and of every moving sampled tuple, the block finder
+    gives the reference's Block lists, gluing flags included, for every
+    side pair and rung colour; components, residue_index and
+    is_connected agree with the reference walk, also on a disconnected
+    graph."""
+    tuples = [f for f in enumerate_admissible(11) if f.q0 != 0]
+    tuples += [f for f in SAMPLE if f.q0 != 0]
+    graphs = [build_gf(f).graph for f in tuples]
+    piece = graph("(1,1,1;0,0,0)")
+    graphs.append(disjoint_union(piece, piece))
+    subsets = [s for k in (2, 3, 4) for s in combinations(COLOURS, k)]
+    blocks = gluing = 0
+    for g in graphs:
+        for sides in combinations(COLOURS, 2):
+            for rung in COLOURS:
+                if rung in sides:
+                    continue
+                found = find_blocks(g, sides, rung)
+                assert block_fields(found) == block_fields(
+                    reference_find_blocks(g, sides, rung)
+                )
+                blocks += len(found)
+                gluing += sum(b.gluing for b in found)
+        for colours in subsets:
+            ref = reference_components(g, colours)
+            assert g.components(colours) == ref
+            idx = g.residue_index(colours)
+            assert all(idx[v] == i for i, cls in enumerate(ref) for v in cls)
+        assert g.is_connected() == (len(reference_components(g, COLOURS)) == 1)
+    assert len(graphs) == 592 + sum(f.q0 != 0 for f in SAMPLE) + 1
+    assert not graphs[-1].is_connected()
+    assert 0 < gluing < blocks
 
 
 def test_cp_isomorphic_finds_relabellings():

@@ -2,6 +2,7 @@
 
 import pytest
 
+import twosym.graphs
 import twosym.surgery
 from twosym import (
     COLOURS,
@@ -17,7 +18,7 @@ from twosym import (
     verify_sigma_constructively,
 )
 from twosym.catalogue import enumerate_admissible
-from twosym.graphs import cp_isomorphic
+from twosym.graphs import _cp_search, _signatures
 
 
 def test_table_rows():
@@ -122,11 +123,11 @@ def test_two_searches_per_verified_tuple(monkeypatch):
     every other match is checked against a map the surgery provides."""
     searches = []
 
-    def record(g1, g2):
+    def record(g1, g2, sig2):
         searches.append((g1, g2))
-        return cp_isomorphic(g1, g2)
+        return _cp_search(g1, g2, sig2)
 
-    monkeypatch.setattr(twosym.surgery, "cp_isomorphic", record)
+    monkeypatch.setattr(twosym.surgery, "_cp_search", record)
     moving = 0
     for f in enumerate_admissible(11):
         if f.q0 == 0:
@@ -138,6 +139,28 @@ def test_two_searches_per_verified_tuple(monkeypatch):
         moving += 1
     assert moving == 592
     assert len(searches) == 1184
+
+
+def test_three_signature_passes_per_verified_tuple(monkeypatch):
+    """The moved graph's signatures are computed once per tuple and
+    shared by both cross-block searches, each of which computes its own
+    cancelled graph's."""
+    passes = []
+
+    def record(g):
+        passes.append(g)
+        return _signatures(g)
+
+    monkeypatch.setattr(twosym.graphs, "_signatures", record)
+    monkeypatch.setattr(twosym.surgery, "_signatures", record)
+    for f in enumerate_admissible(11):
+        if f.q0 == 0:
+            continue
+        before = len(passes)
+        report = verify_sigma_constructively(f)
+        assert report.ok, (f, report.failures)
+        assert len(passes) - before == 3, f
+        assert passes[before] == build_graph(sigma(f))
 
 
 LADDER_FAILURE = "cancelling the inserted ladder does not restore the base"
