@@ -67,9 +67,7 @@ from .orbits import (
     minimize,
 )
 from .surgery import (
-    REORIENTATIONS,
     SWAP_01,
-    SWAP_23,
     SigmaVerification,
     SurgeryError,
     SurgeryTrace,

@@ -5,8 +5,8 @@ export, the move and the relabelling maps, classification, orbit
 exploration, greedy minimization, catalogue generation and the named
 verification suites.  Exit codes: 0 success, 1 usage error, 2
 validation failure (bad or inadmissible input, a tuple whose
-complexity exceeds MAX_TUPLE_COMPLEXITY, or a bound above its MAX_*
-ceiling), 3 suite failure.
+complexity exceeds MAX_TUPLE_COMPLEXITY, a bound above its MAX_*
+ceiling, or an orbit node budget below 1), 3 suite failure.
 """
 
 from __future__ import annotations
@@ -178,6 +178,8 @@ def _cmd_orbit(args) -> int:
         args.max_complexity, MAX_TUPLE_COMPLEXITY, "--max-complexity"
     )
     max_nodes = _at_most(args.max_nodes, MAX_ORBIT_NODES, "--max-nodes")
+    if max_nodes < 1:
+        raise ValueError(f"--max-nodes {max_nodes} is below 1")
     graph = explore(tuple_from_args(args.tuple), max_complexity, max_nodes)
     out = _orbit_dot(graph) if args.format == "dot" else _orbit_tsv(graph)
     print(out, end="")

@@ -6,6 +6,12 @@ Three relabelling maps psi1 (cyclic shift of the colour roles), psi2
 sigma is an involution that also preserves the manifold but can change
 the complexity by delta; it is the identity exactly when q0 = 0.
 
+The move is decided once, by the guard table _strips: comparing q0 with
+h0 and h2 picks one of four rows of strip lengths (L, p1, p2, r1, r2),
+the lengths the surgery in surgery.py measures on its split graph.  One
+formula (_rebuild) reads the moved tuple off the strips, and delta is
+h1 - L.  The surgery check reads the same two functions.
+
 The relabelling orbit, the representative filter and the move's
 rewriting are kernels on plain int 6-tuples (_orbit_fields, _passes,
 _canonical_fields, _move, _neighbour_fields); h_orbit, is_canonical,
@@ -159,56 +165,58 @@ def canonical(f: SixTuple) -> SixTuple:
 # -- the 2-symmetric move ----------------------------------------------------
 
 
-def delta(f: SixTuple) -> int:
-    """Complexity change of the move: upsilon(sigma(f)) - upsilon(f).
+def _strips(h0: int, h2: int, q0: int) -> tuple[int, int, int, int, int]:
+    """The guard table: the strip lengths (L, p1, p2, r1, r2) that the
+    move's surgery measures on a tuple with q0 != 0.
 
-    Needs the h+q parity condition so the four guards below are
-    exhaustive (q0 can never equal h0 or h2).
+    L is the length of the cross block; p1, r1 and p2, r2 are the runs
+    before and after it on the near and far halves of the split C_0.
+    The h+q parity condition keeps q0 off h0 and h2, so the four rows
+    are exhaustive.
+    """
+    if q0 < h0 and q0 < h2:
+        return (q0, 0, 0, h0 - q0, h2 - q0)
+    if q0 > h0 and q0 > h2:
+        return (h0 + h2 - q0, q0 - h2, q0 - h0, 0, 0)
+    if h0 < q0 < h2:
+        return (h0, 0, q0 - h0, 0, h2 - q0)
+    return (h2, q0 - h2, 0, h0 - q0, 0)  # h2 < q0 < h0
+
+
+def _rebuild(h0: int, h1: int, h2: int, q1: int, q2: int, strips: tuple) -> tuple:
+    """The moved tuple read off the strips of (h; q): its shifts are not
+    yet reduced mod the new cycle lengths."""
+    L, p1, p2, r1, r2 = strips
+    return (
+        h0 + h1 - L, L, h1 + h2 - L,
+        h1 + r1 + r2, 2 * p1 + q1 + h1 + L, 2 * p2 + q2 + h1 + L,
+    )
+
+
+def _move(h0: int, h1: int, h2: int, q0: int, q1: int, q2: int) -> tuple:
+    """The move's rewriting of an admissible (h; q) with q0 != 0, shifts
+    not yet reduced."""
+    return _rebuild(h0, h1, h2, q1, q2, _strips(h0, h2, q0))
+
+
+def delta(f: SixTuple) -> int:
+    """Complexity change of the move: upsilon(sigma(f)) - upsilon(f),
+    which is h1 - L for the cross-block length L of the guard table.
+
+    Needs the h+q parity condition so the guard table is exhaustive.
     """
     even = even_parities(f)
     if even:
         raise ConditionError("h+q parity", f"h{even[0]}+q{even[0]} even in {f}")
-    h0, h1, h2 = f.h
-    q0 = f.q0
-    if q0 == 0:
+    if f.q0 == 0:
         return 0
-    if q0 < h0 and q0 < h2:
-        return h1 - q0
-    if q0 > h0 and q0 > h2:
-        return q0 + h1 - h0 - h2
-    if h0 < q0 < h2:
-        return h1 - h0
-    return h1 - h2  # h2 < q0 < h0
-
-
-def _move(h0: int, h1: int, h2: int, q0: int, q1: int, q2: int) -> tuple:
-    """The move's rewriting of an admissible (h; q) with q0 != 0, one of
-    four picked by comparing q0 with h0 and h2; the shifts are not yet
-    reduced mod the new cycle lengths."""
-    if q0 < h0 and q0 < h2:
-        return (
-            h0 + h1 - q0, q0, h2 + h1 - q0,
-            h0 + h1 + h2 - 2 * q0, q0 + q1 + h1, q0 + q2 + h1,
-        )
-    if q0 > h0 and q0 > h2:
-        return (
-            q0 + h1 - h2, h0 + h2 - q0, q0 + h1 - h0,
-            h1, q0 + q1 - h2, q0 + q2 - h0,
-        )
-    if h0 < q0 < h2:
-        return (
-            h1, h0, h1 + h2 - h0,
-            h1 + h2 - q0, q1, 2 * q0 + q2 + h1 - h0,
-        )
-    return (
-        h1 + h0 - h2, h2, h1,
-        h1 + h0 - q0, 2 * q0 + q1 + h1 - h2, q2,
-    )
+    return f.h1 - _strips(f.h0, f.h2, f.q0)[0]
 
 
 def sigma(f: SixTuple) -> SixTuple:
-    """The 2-symmetric move.  Identity when q0 = 0, otherwise one of four
-    rewritings (_move); an involution that commutes with psi2 and psi3."""
+    """The 2-symmetric move.  Identity when q0 = 0, otherwise the tuple
+    rebuilt from the guard table's strips (_move); an involution that
+    commutes with psi2 and psi3."""
     require_admissible(f)
     if f.q0 == 0:
         return f

@@ -130,6 +130,11 @@ def is_minimal(f: SixTuple) -> bool:
     """
     _require_canonical(f, "is_minimal")
     require_admissible(f)
+    return _minimal(f)
+
+
+def _minimal(f: SixTuple) -> bool:
+    """is_minimal's closed form, on a tuple already checked."""
     h0, h1, h2 = f.h
     q2 = f.q2
     return q2 < h0 or q2 > h1 + h2 - h0 or (h0 == h1 and h0 < q2 < h2)
@@ -165,7 +170,7 @@ def is_root(f: SixTuple) -> bool:
         and q0 != half
         and (q1 != 0 or q0 != (half - q2) % m)
     )
-    return is_minimal(f) and not tied
+    return _minimal(f) and not tied
 
 
 def minimize(f: SixTuple) -> SixTuple:

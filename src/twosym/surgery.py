@@ -8,8 +8,9 @@ two cross blocks (C_1 to the far half of C_0, and the near half to C_2).
 Cancelling the inserted ladder restores the original graph exactly;
 cancelling a cross block produces the graph of the moved tuple.  The
 five strip lengths (L, p1, p2, r1, r2) measured on the split cycles
-determine the moved tuple arithmetically and are checked against the
-guard table.
+are checked against the move's guard table (moves._strips, through
+table_row), and the moved tuple is rebuilt from them by the formula the
+move itself uses (moves._rebuild).
 
 One subtlety is orientation.  The split graph carries an involution
 that exchanges C_1 with the near half and C_2 with the far half; it
@@ -22,9 +23,11 @@ two cross blocks cancel to graphs that differ by that swap.  Which of
 them cancels to the moved graph with colours intact is not fixed by
 the parity of the q entries: both cases occur at either parity.  The
 verifier tries the cross block, then its mate; the first that cancels
-to the graph of sigma(f) is recorded as the exact block, and the other
-is tried under each reorientation in REORIENTATIONS order.  That swap is
-SWAP_01, or the identity when both blocks cancel exactly.
+to the graph of sigma(f) is recorded as the exact block.  Its partner
+has two possible outcomes: the identity when it cancels exactly too,
+and otherwise SWAP_01.  No other colour swap needs a look: a verified
+half exchange swaps colours 0 and 1 and pairs the two cross blocks, so
+it carries the exact block's match onto a SWAP_01 match of the partner.
 
 Only two matches are searched for (graphs._cp_search, the search behind
 graphs.cp_isomorphic): each cross block's cancellation against the graph
@@ -38,19 +41,22 @@ strictly than a search:
 - the half exchange, once verified as an involution that swaps colours
   0/1 and pairs each block with its mate, maps the vertices kept by the
   mate ladder's cancellation onto the colour-swapped graph of f;
-- the partner cross block matches under SWAP_01 through the exact
-  block's isomorphism after the half exchange.  The identity reuses the
-  partner's own search; SWAP_23 and (1,0,3,2) are searched only after
-  the SWAP_01 map fails.
+- the partner cross block, unless its own search matched, matches
+  under SWAP_01 through the exact block's isomorphism after the half
+  exchange.
 
 A half exchange that fails any of its checks fails the mate ladder's
 check, and the partner's unless it cancels exactly; neither falls back
 to a search.
 
-Each partition of the split graph is computed once per tuple: build_gf
-indexes its {0,1}-cycles and its colour-3 complements (the hat-3
-components, whose count must be 2) and hands both indices to the block
-finder, which walks every colour-3 rung once.  The moved graph's vertex
+The split graph's vertices are numbered in one place (_split_layout):
+the graph of f first, then the near and the far rung vertices.  build_gf
+builds the graph on that layout and reorientation_involution reads its
+positions from it, with no lookup by label.  Each partition of the
+split graph is computed once per tuple: build_gf indexes its
+{0,1}-cycles and its colour-3 complements (the hat-3 components, whose
+count must be 2) and hands both indices to the block finder, which
+walks every colour-3 rung once.  The moved graph's vertex
 signatures are likewise computed once and shared by the cross-block
 searches (graphs._cp_search).
 """
@@ -71,12 +77,10 @@ from .graphs import (
     cancel_block,
     permute_colours,
 )
-from .moves import sigma
+from .moves import _rebuild, _strips, sigma
 from .tuples import SixTuple, build_graph, require_admissible
 
 SWAP_01 = (1, 0, 2, 3)
-SWAP_23 = (0, 1, 3, 2)
-REORIENTATIONS = ((0, 1, 2, 3), SWAP_01, SWAP_23, (1, 0, 3, 2))
 
 
 class SurgeryError(ValueError):
@@ -88,18 +92,11 @@ class SurgeryError(ValueError):
 
 
 def table_row(f: SixTuple) -> tuple[int, int, int, int, int]:
-    """Expected strip lengths (L, p1, p2, r1, r2) for the guard of f."""
-    h0, _, h2 = f.h
-    q0 = f.q0
-    if q0 == 0:
+    """Expected strip lengths (L, p1, p2, r1, r2): the row of the move's
+    guard table (moves._strips) for f."""
+    if f.q0 == 0:
         raise ValueError("the move is the identity when q0 = 0")
-    if q0 < h0 and q0 < h2:
-        return (q0, 0, 0, h0 - q0, h2 - q0)
-    if q0 > h0 and q0 > h2:
-        return (h0 + h2 - q0, q0 - h2, q0 - h0, 0, 0)
-    if h0 < q0 < h2:
-        return (h0, 0, q0 - h0, 0, h2 - q0)
-    return (h2, q0 - h2, 0, h0 - q0, 0)
+    return _strips(f.h0, f.h2, f.q0)
 
 
 @dataclass(frozen=True)
@@ -150,6 +147,28 @@ def _gaps(
     return p, run, r
 
 
+def _split_layout(f: SixTuple):
+    """The vertex numbering of the split graph of f, as three functions:
+    idx(i, j) is the vertex (i, j mod 2l_i) of the graph of f, and vp(k)
+    and vpp(k) are the near-side and far-side vertices of the k-th rung
+    (1-based), numbered after the vertices of the graph of f."""
+    two_l = [f.two_l(i) for i in range(3)]
+    off = (0, two_l[0], two_l[0] + two_l[1])
+    n0 = 2 * f.upsilon
+    h1 = f.h1
+
+    def idx(i: int, j: int) -> int:
+        return off[i] + j % two_l[i]
+
+    def vp(k: int) -> int:
+        return n0 + k - 1
+
+    def vpp(k: int) -> int:
+        return n0 + h1 + k - 1
+
+    return idx, vp, vpp
+
+
 def build_gf(f: SixTuple) -> SurgeryTrace:
     """Insert the h1-rung ladder into the graph of f and locate the
     resulting gluing blocks.  Requires an admissible f with q0 != 0."""
@@ -158,21 +177,7 @@ def build_gf(f: SixTuple) -> SurgeryTrace:
         raise ValueError("surgery needs q0 != 0 (the move is the identity)")
     g = build_graph(f)
     h0, h1, h2 = f.h
-    two_l = [f.two_l(i) for i in range(3)]
-    off = [0, two_l[0], two_l[0] + two_l[1]]
-
-    def idx(i: int, j: int) -> int:
-        i %= 3
-        return off[i] + j % two_l[i]
-
-    n0 = g.n
-
-    def vp(i: int) -> int:  # near-side rung vertex, 1-based
-        return n0 + i - 1
-
-    def vpp(i: int) -> int:  # far-side rung vertex
-        return n0 + h1 + i - 1
-
+    idx, vp, vpp = _split_layout(f)
     rows = [list(g.involutions[c]) + [-1] * (2 * h1) for c in COLOURS]
     labels = (
         list(g.labels)
@@ -221,7 +226,7 @@ def build_gf(f: SixTuple) -> SurgeryTrace:
     # the split halves of C_0, oriented with ascending j
     c0_near = tuple([idx(0, j) for j in range(h0)] + [vp(i) for i in range(h1, 0, -1)])
     c0_far = tuple(
-        [idx(0, j) for j in range(h0, two_l[0])] + [vpp(i) for i in range(1, h1 + 1)]
+        [idx(0, j) for j in range(h0, f.two_l(0))] + [vpp(i) for i in range(1, h1 + 1)]
     )
     for cyc in (c0_near, c0_far):
         for t in range(len(cyc)):
@@ -267,7 +272,7 @@ def build_gf(f: SixTuple) -> SurgeryTrace:
     theta_mate = unique("near", "c2")
     if sum(len(v) for v in by_pair.values()) != 4:
         raise SurgeryError("blocks", "unexpected extra gluing blocks")
-    if ladder.vertices != frozenset(range(n0, n0 + 2 * h1)):
+    if ladder.vertices != frozenset(range(g.n, big.n)):
         raise SurgeryError("blocks", "inserted ladder not recovered as a block")
     if ladder_mate.length != h1:
         raise SurgeryError("blocks", "mate ladder has wrong length")
@@ -304,41 +309,33 @@ def reorientation_involution(trace: SurgeryTrace) -> list[int]:
     Positions along the halves are counted so that the i-th near rung
     vertex sits q1+h1-i steps around its cycle and the i-th far rung
     vertex q2+i-1 steps around its own; matching these positions with
-    the plain labels of C_1 and C_2 pairs every vertex.  The result is
-    an automorphism up to swapping colours 0 and 1 (checked by the
-    verifier, not here)."""
+    those of C_1 and C_2 in the split layout pairs every vertex.  The
+    result is an automorphism up to swapping colours 0 and 1 (checked by
+    the verifier, not here)."""
     f = trace.base
     h0, h1, h2 = f.h
     _, q1, q2 = f.q
-    l1, l2 = h0 + h1, h1 + h2
-    g = trace.graph
-    pos: dict[object, int] = {}
-    for v in range(g.n):
-        pos[g.label(v)] = v
-
-    def near(i: int) -> int:
-        return pos[("ins", 0, i)]
-
-    def far(i: int) -> int:
-        return pos[("ins", 1, i)]
-
-    phi = [-1] * g.n
+    l1, l2 = h0 + h1, h1 + h2  # the lengths of C_1 and C_2
+    idx, near, far = _split_layout(f)
+    phi = [-1] * trace.graph.n
     for j in range(h0):
-        phi[pos[(0, j)]] = pos[(1, (q1 + h1 + j) % l1)]
+        phi[idx(0, j)] = idx(1, q1 + h1 + j)
     for i in range(1, h1 + 1):
-        phi[near(i)] = pos[(1, (q1 + h1 - i) % l1)]
+        phi[near(i)] = idx(1, q1 + h1 - i)
+    # a C_0 position read off C_1 (or C_2) is reduced mod that cycle's
+    # length, not mod the length of C_0 that idx would use
     for i in range(l1):
         k = (q1 + h1 - i) % l1
-        phi[pos[(1, i)]] = near(k) if 1 <= k <= h1 else pos[(0, (i - q1 - h1) % l1)]
+        phi[idx(1, i)] = near(k) if 1 <= k <= h1 else idx(0, (i - q1 - h1) % l1)
     # the far pairing shifts by h2 because C_2 is read from its own
     # block corner rather than from (2,0)
     for k in range(h2):
-        phi[pos[(0, h0 + k)]] = pos[(2, (q2 + h1 + k + h2) % l2)]
+        phi[idx(0, h0 + k)] = idx(2, q2 + h1 + k + h2)
     for i in range(1, h1 + 1):
-        phi[far(i)] = pos[(2, (q2 + i - 1 + h2) % l2)]
+        phi[far(i)] = idx(2, q2 + i - 1 + h2)
     for j in range(l2):
         i = (j - h2 - q2 + 1) % l2
-        phi[pos[(2, j)]] = far(i) if 1 <= i <= h1 else pos[(0, h0 + (j - h2 - q2 - h1) % l2)]
+        phi[idx(2, j)] = far(i) if 1 <= i <= h1 else idx(0, h0 + (j - h2 - q2 - h1) % l2)
     return phi
 
 
@@ -367,7 +364,7 @@ def verify_sigma_constructively(f: SixTuple) -> SigmaVerification:
       colours 0/1, and it carries each block to its mate, so cancelling
       the mate ladder restores the orientation-reversed copy of f,
     - one of the two cross blocks cancels to the graph of sigma(f) with
-      colours intact; the other one matches after a reorientation swap,
+      colours intact; the other one does too, or matches under SWAP_01,
     - the measured strips match the guard table and reconstruct sigma(f).
     """
     expected = sigma(f)
@@ -424,49 +421,32 @@ def verify_sigma_constructively(f: SixTuple) -> SigmaVerification:
             "cancelling the mate ladder does not yield the reversed base copy"
         )
 
-    # each cross block is searched against the moved graph once; under
-    # SWAP_01 the partner of the exact one is checked against the map
-    # that the half exchange gives, and only the other colour swaps,
-    # which no working surgery reaches, are searched
+    # each cross block is searched against the moved graph once; the
+    # partner of the exact one matches with colours intact (its own
+    # search succeeded) or under SWAP_01 through the verified half
+    # exchange, which pairs the two blocks, and in no other way
     blocks = (trace.theta, trace.theta_mate)
     cancelled = [cancel_block(g, b) for b in blocks]
     moved_sig = _signatures(moved_graph)
     found = [_cp_search(h, moved_graph, moved_sig) for h in cancelled]
     exact_block: str | None = None
     orientation_swap: tuple[int, int, int, int] | None = None
-    for e, name, partner_name in (
-        (0, "cross", "mate cross block"),
-        (1, "cross mate", "cross block"),
-    ):
-        chi = found[e]
-        if chi is None:
-            continue
-        exact_block = name
-        partner = cancelled[1 - e]
-        for p in REORIENTATIONS:
-            if p == REORIENTATIONS[0]:
-                matched = found[1 - e] is not None
-            elif p == SWAP_01:
-                if not phi_ok:
-                    break  # no verified map to check, and no search instead
-                matched = _is_cp_map(
-                    permute_colours(partner, p),
-                    moved_graph,
-                    _through_half_exchange(g, phi, blocks[1 - e], blocks[e], chi),
-                )
-            else:
-                matched = (
-                    _cp_search(permute_colours(partner, p), moved_graph, moved_sig)
-                    is not None
-                )
-            if matched:
-                orientation_swap = p
-                break
-        if orientation_swap is None:
-            failures.append(f"{partner_name} matches no reorientation of the move")
-        break
-    else:
+    if found[0] is None and found[1] is None:
         failures.append("no cross block cancels to the moved graph")
+    else:
+        e = 0 if found[0] is not None else 1
+        exact_block = ("cross", "cross mate")[e]
+        if found[1 - e] is not None:
+            orientation_swap = (0, 1, 2, 3)
+        elif phi_ok and _is_cp_map(
+            permute_colours(cancelled[1 - e], SWAP_01),
+            moved_graph,
+            _through_half_exchange(g, phi, blocks[1 - e], blocks[e], found[e]),
+        ):
+            orientation_swap = SWAP_01
+        else:
+            partner_name = ("mate cross block", "cross block")[e]
+            failures.append(f"{partner_name} matches no reorientation of the move")
 
     if trace.measured != expected_row:
         failures.append(
@@ -477,12 +457,7 @@ def verify_sigma_constructively(f: SixTuple) -> SigmaVerification:
         failures.append("cross block is empty despite q0 != 0")
     if (p1 != 0) != (r2 == 0) or (p2 != 0) != (r1 == 0):
         failures.append("strip emptiness pattern violated")
-    h0, h1, h2 = f.h
-    _, q1, q2 = f.q
-    rebuilt = SixTuple.reduce(
-        h0 + h1 - L, L, h1 + h2 - L,
-        h1 + r1 + r2, 2 * p1 + q1 + h1 + L, 2 * p2 + q2 + h1 + L,
-    )
+    rebuilt = SixTuple.reduce(*_rebuild(*f.h, f.q1, f.q2, trace.measured))
     if rebuilt != expected:
         failures.append(f"strips rebuild {rebuilt} instead of {expected}")
     return SigmaVerification(

@@ -99,10 +99,13 @@ def test_catalogue_complexity_ceiling_exits_2(capsys, monkeypatch):
         (["--max-complexity", str(MAX_TUPLE_COMPLEXITY + 1)], "--max-complexity"),
         (["--max-complexity", "9", "--max-nodes", str(MAX_ORBIT_NODES + 1)],
          "--max-nodes"),
+        (["--max-complexity", "40", "--max-nodes", "-3"], "--max-nodes"),
+        (["--max-complexity", "40", "--max-nodes", "0"], "--max-nodes"),
     ],
 )
 def test_orbit_ceilings_exit_2(capsys, monkeypatch, bounds, option):
-    """Each orbit bound is checked before the exploration starts."""
+    """Each orbit bound is checked before the exploration starts; a node
+    budget below 1 is refused like one above the ceiling."""
     import twosym.cli as cli
 
     def unreachable(*args):
@@ -112,7 +115,9 @@ def test_orbit_ceilings_exit_2(capsys, monkeypatch, bounds, option):
     code, out, err = run(capsys, "orbit", "(1,3,3;2,2,2)", *bounds)
     assert code == 2
     assert out == ""
-    assert option in err and "exceeds the limit" in err
+    value = int(bounds[bounds.index(option) + 1])
+    reason = "below 1" if value < 1 else "exceeds the limit"
+    assert option in err and reason in err
 
 
 def test_usage_errors_exit_1(capsys):

@@ -27,7 +27,10 @@ from twosym import (
 from twosym.catalogue import enumerate_admissible
 from twosym.graphs import _is_cp_map, _signatures, sphere_defects
 from twosym.moves import sigma
-from twosym.surgery import REORIENTATIONS, SWAP_01, build_gf
+from twosym.surgery import SWAP_01, build_gf
+
+# the four colour permutations that fix the sides {0,1} and {2,3}
+REORIENTATIONS = ((0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2))
 
 
 def graph(text):

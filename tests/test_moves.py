@@ -24,6 +24,7 @@ from twosym import (
 )
 from twosym import moves
 from twosym.catalogue import enumerate_admissible, enumerate_candidates
+from twosym.tuples import even_parities
 
 
 def test_psi_formulas():
@@ -253,3 +254,87 @@ def test_the_filter_count_is_checked_on_every_canonicalisation(
         canonical(f)
     with pytest.raises(RuntimeError, match="representative filter left"):
         sigma_neighbors(f)
+
+
+# -- the move against its four-case reference --------------------------------
+#
+# The library decides the move once, by the strip table moves._strips,
+# and rebuilds the moved tuple from the strips with one formula.  Here
+# the four rewritings and the four complexity changes are written out
+# case by case, as an independent cross-check of that encoding.
+
+
+def reference_delta(f: SixTuple) -> int:
+    even = even_parities(f)
+    if even:
+        raise ConditionError("h+q parity", f"h{even[0]}+q{even[0]} even in {f}")
+    h0, h1, h2 = f.h
+    q0 = f.q0
+    if q0 == 0:
+        return 0
+    if q0 < h0 and q0 < h2:
+        return h1 - q0
+    if q0 > h0 and q0 > h2:
+        return q0 + h1 - h0 - h2
+    if h0 < q0 < h2:
+        return h1 - h0
+    return h1 - h2  # h2 < q0 < h0
+
+
+def reference_move(h0: int, h1: int, h2: int, q0: int, q1: int, q2: int) -> tuple:
+    if q0 < h0 and q0 < h2:
+        return (
+            h0 + h1 - q0, q0, h2 + h1 - q0,
+            h0 + h1 + h2 - 2 * q0, q0 + q1 + h1, q0 + q2 + h1,
+        )
+    if q0 > h0 and q0 > h2:
+        return (
+            q0 + h1 - h2, h0 + h2 - q0, q0 + h1 - h0,
+            h1, q0 + q1 - h2, q0 + q2 - h0,
+        )
+    if h0 < q0 < h2:
+        return (
+            h1, h0, h1 + h2 - h0,
+            h1 + h2 - q0, q1, 2 * q0 + q2 + h1 - h0,
+        )
+    return (
+        h1 + h0 - h2, h2, h1,
+        h1 + h0 - q0, 2 * q0 + q1 + h1 - h2, q2,
+    )
+
+
+# one tuple per guard row, small and large (the large ones are the
+# CI's big-graph surgery pins)
+ROW_CASES = [
+    ("(3,1,3;2,2,2)", lambda h0, h2, q0: q0 < h0 and q0 < h2),
+    ("(150,28,102;17,43,41)", lambda h0, h2, q0: q0 < h0 and q0 < h2),
+    ("(2,2,2;3,1,1)", lambda h0, h2, q0: q0 > h0 and q0 > h2),
+    ("(51,135,107;156,6,18)", lambda h0, h2, q0: q0 > h0 and q0 > h2),
+    ("(1,3,3;2,2,2)", lambda h0, h2, q0: h0 < q0 < h2),
+    ("(4,194,74;65,33,265)", lambda h0, h2, q0: h0 < q0 < h2),
+    ("(3,3,1;2,2,2)", lambda h0, h2, q0: h2 < q0 < h0),
+    ("(143,137,33;34,220,140)", lambda h0, h2, q0: h2 < q0 < h0),
+]
+
+
+def test_move_matches_the_four_case_reference():
+    """sigma and delta agree with the case-by-case rewriting on every
+    admissible tuple up to complexity 21, on SAMPLE and on tuples that
+    hit each guard row."""
+    from test_sampled import SAMPLE
+
+    rows = [parse_tuple(text) for text, _ in ROW_CASES]
+    for f, (text, guard) in zip(rows, ROW_CASES):
+        assert is_admissible(f) and guard(f.h0, f.h2, f.q0), text
+    census = list(enumerate_admissible(21))
+    assert sum(1 for f in census if f.q0 != 0) == 28_108
+    for f in census + SAMPLE + rows:
+        assert delta(f) == reference_delta(f), f
+        if f.q0 == 0:
+            assert sigma(f) == f
+        else:
+            assert sigma(f) == SixTuple.reduce(*reference_move(*f.h, *f.q)), f
+    for f in (parse_tuple("(1,1,1;1,1,1)"), parse_tuple("(3,1,3;1,1,1)")):
+        for fn in (delta, reference_delta):
+            with pytest.raises(ConditionError):
+                fn(f)

@@ -5,7 +5,6 @@ import random
 
 import twosym.graphs
 from twosym import (
-    REORIENTATIONS,
     SixTuple,
     build_gf,
     build_graph,
@@ -31,6 +30,9 @@ from twosym import (
 from twosym.catalogue import enumerate_admissible
 from twosym.graphs import ColouredGraph
 from twosym.homology import cokernel, h1_presentation_of_tuple
+
+# the four colour permutations that fix the sides {0,1} and {2,3}
+REORIENTATIONS = ((0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2))
 
 
 def sample_admissible(seed, count, low=25, high=60):
