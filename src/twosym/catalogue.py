@@ -8,9 +8,10 @@ O(1) representative filter before the {2,3}-residue count, which is
 sound because admissibility is constant on each relabelling orbit; at
 complexity 19 the count then runs on 2,716 candidates instead of
 29,469.  classify_record bundles the trap, minimality, root and
-homology facts for one tuple; build_catalogue does this for a whole
-complexity range, numbering the move-orbit components it can see, and
-the result round-trips through a tab-separated text form.
+homology facts for one tuple, whose admissibility the scan or, for a
+tuple from outside, the H1 walk proves; build_catalogue does this for a
+whole complexity range, numbering the move-orbit components it can see,
+and the result round-trips through a tab-separated text form.
 
 run_suite executes one of the named batch checks (group laws, the
 constructive move verification, homology invariance, agreement of the
@@ -21,6 +22,7 @@ its documented complexity bound, and reports a structured pass/fail.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass
@@ -29,7 +31,10 @@ from typing import Iterator
 from .graphs import cancel_block, cancel_block_by_dipoles
 from .homology import AbelianGroupSignature, h1, h1_of_tuple, parse_signature
 from .moves import (
+    _canonical_fields,
+    _neighbour_fields,
     _passes,
+    _sigma,
     canonical_candidates,
     delta,
     h_orbit,
@@ -37,17 +42,15 @@ from .moves import (
     psi1,
     psi2,
     psi3,
-    sigma,
-    sigma_neighbors,
 )
 from .orbits import (
     TrapWitness,
+    _minimal,
+    _root,
     ascend_witness,
     descent_minimal,
     descent_root,
     explore,
-    is_minimal,
-    is_root,
     is_trap,
 )
 from .surgery import build_gf, verify_sigma_constructively
@@ -56,7 +59,6 @@ from .tuples import (
     embedding_euler_of_tuple,
     is_admissible,
     parse_tuple,
-    require_admissible,
     zero_q_count,
 )
 
@@ -132,12 +134,20 @@ def enumerate_canonical(max_complexity: int) -> Iterator[SixTuple]:
     return enumerate_admissible(max_complexity, canonical=True)
 
 
+@functools.lru_cache(maxsize=2)
+def _admissible_upto(bound: int) -> tuple[SixTuple, ...]:
+    """enumerate_admissible(bound), scanned once for the suites that read
+    it; two entries hold the bounds 13 and 11, which alternate in SUITES."""
+    return tuple(enumerate_admissible(bound))
+
+
 # -- classification records ----------------------------------------------------
 
 
 @dataclass(frozen=True)
 class CatalogueRecord:
-    """Everything the catalogue knows about one canonical tuple."""
+    """Everything the catalogue knows about one canonical tuple; its
+    makers, classify_record and records_from_tsv, prove it admissible."""
 
     tuple: SixTuple
     upsilon: int
@@ -149,7 +159,6 @@ class CatalogueRecord:
     warnings: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        require_admissible(self.tuple)
         if not is_canonical(self.tuple):
             raise ValueError(f"record tuple {self.tuple} is not canonical")
         if self.upsilon != self.tuple.upsilon:
@@ -167,32 +176,34 @@ def _notes(f: SixTuple) -> tuple[str, ...]:
 
 
 def classify_record(f: SixTuple, orbit_id: int | None = None) -> CatalogueRecord:
-    """Classify one canonical admissible tuple."""
+    """Classify one canonical tuple; the H1 walk first proves it admissible."""
+    group = h1_of_tuple(f)
     return CatalogueRecord(
-        f, f.upsilon, is_trap(f), is_minimal(f), is_root(f),
-        h1_of_tuple(f), orbit_id, _notes(f),
+        f, f.upsilon, is_trap(f), _minimal(f), _root(f), group, orbit_id, _notes(f)
     )
 
 
 def assign_orbit_ids(tuples: list[SixTuple]) -> dict[SixTuple, int]:
     """Union-find over the move edges visible inside the given set;
-    components are numbered by first appearance in the input order."""
-    parent = {f: f for f in tuples}
+    components are numbered by first appearance in the input order.
+    The tuples must be admissible, as enumerate_canonical yields them."""
+    keys = [(*f.h, *f.q) for f in tuples]
+    parent = {k: k for k in keys}
 
-    def find(x: SixTuple) -> SixTuple:
+    def find(x: tuple) -> tuple:
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
-    for f in tuples:
-        for nb in sigma_neighbors(f):
+    for k in keys:
+        for nb in _neighbour_fields(_canonical_fields(k[:3], k[3:])):
             if nb in parent:
-                parent[find(f)] = find(nb)
+                parent[find(k)] = find(nb)
     ids: dict[SixTuple, int] = {}
-    component: dict[SixTuple, int] = {}
-    for f in tuples:
-        root = find(f)
+    component: dict[tuple, int] = {}
+    for f, k in zip(tuples, keys):
+        root = find(k)
         if root not in component:
             component[root] = len(component)
         ids[f] = component[root]
@@ -265,13 +276,13 @@ def records_from_tsv(text: str) -> list[CatalogueRecord]:
         if len(cells) != len(TSV_COLUMNS):
             raise ValueError(f"expected {len(TSV_COLUMNS)} columns: {ln!r}")
         f = parse_tuple(cells[0])
+        group = parse_signature(cells[6])
+        if group != h1_of_tuple(f):  # the H1 walk proves f admissible
+            raise ValueError(f"h1 column disagrees with the homology of {f}")
         trap = is_trap(f)
         stored = f"{trap.r},{trap.s}" if trap else ""
         if _flag(cells[2]) != (trap is not None) or cells[3] != stored:
             raise ValueError(f"trap columns disagree with the scan on {f}")
-        group = parse_signature(cells[6])
-        if group != h1_of_tuple(f):
-            raise ValueError(f"h1 column disagrees with the homology of {f}")
         notes = _notes(f)
         if cells[8] != "; ".join(notes):
             raise ValueError(f"warnings column disagrees with the notes on {f}")
@@ -285,9 +296,9 @@ def records_from_tsv(text: str) -> list[CatalogueRecord]:
             int(cells[7]) if cells[7] else None,
             notes,
         )
-        if record.minimal != is_minimal(f):
+        if record.minimal != _minimal(f):
             raise ValueError(f"minimal column disagrees with is_minimal on {f}")
-        if record.root != is_root(f):
+        if record.root != _root(f):
             raise ValueError(f"root column disagrees with is_root on {f}")
         records.append(record)
     return records
@@ -321,13 +332,17 @@ class SuiteReport:
 def _suite_laws(bound: int):
     failures = []
     checked = 0
-    for f in enumerate_admissible(bound):
+    for f in _admissible_upto(bound):
         checked += 1
-        if sigma(sigma(f)) != f:
+        moved = _sigma(f)
+        if not is_admissible(moved):
+            failures.append(f"move image {moved} of {f} is not admissible")
+            continue
+        if _sigma(moved) != f:
             failures.append(f"move not involutive on {f}")
-        if sigma(psi2(f)) != psi2(sigma(f)):
+        if _sigma(psi2(f)) != psi2(moved):
             failures.append(f"move does not commute with reversal on {f}")
-        if sigma(psi3(f)) != psi3(sigma(f)):
+        if _sigma(psi3(f)) != psi3(moved):
             failures.append(f"move does not commute with negation on {f}")
         if psi1(psi1(psi1(f))) != f:
             failures.append(f"rotation cubed is not the identity on {f}")
@@ -341,7 +356,7 @@ def _suite_laws(bound: int):
 def _suite_sigma_constructive(bound: int):
     failures = []
     checked = 0
-    for f in enumerate_admissible(bound):
+    for f in _admissible_upto(bound):
         if f.q0 == 0:
             continue
         checked += 1
@@ -354,10 +369,10 @@ def _suite_sigma_constructive(bound: int):
 def _suite_homology_invariance(bound: int):
     failures = []
     checked = 0
-    for index, f in enumerate(enumerate_admissible(bound)):
+    for index, f in enumerate(_admissible_upto(bound)):
         checked += 1
         base = h1_of_tuple(f)
-        moved = sigma(f)
+        moved = _sigma(f)
         if moved.upsilon != f.upsilon + delta(f):
             failures.append(f"complexity change wrong under the move on {f}")
         for name, image in (
@@ -383,9 +398,9 @@ def _suite_minimality_agreement(bound: int):
     checked = 0
     for f in enumerate_canonical(bound):
         checked += 1
-        if is_minimal(f) != descent_minimal(f):
+        if _minimal(f) != descent_minimal(f):
             failures.append(f"minimality forms disagree on {f}")
-        if is_root(f) != descent_root(f):
+        if _root(f) != descent_root(f):
             failures.append(f"root forms disagree on {f}")
     return checked, failures, []
 
@@ -404,7 +419,7 @@ def _suite_trap_closure(bound: int):
             for g in (f, witness.base):
                 if g.q0 == 0:
                     continue
-                again = is_trap(sigma(g))
+                again = is_trap(_sigma(g))
                 if again is None or (again.r, again.s) != (witness.r, witness.s):
                     failures.append(f"move changed the trap type of {g}")
         elif zero_q_count(f) <= 1:
@@ -420,7 +435,7 @@ def _suite_trap_closure(bound: int):
 def _suite_genus_embedding(bound: int):
     failures = []
     checked = 0
-    for f in enumerate_admissible(bound):
+    for f in _admissible_upto(bound):
         checked += 1
         if embedding_euler_of_tuple(f) != -2:
             failures.append(f"embedding characteristic is not -2 on {f}")
@@ -431,7 +446,7 @@ def _suite_canonical_uniqueness(bound: int):
     failures = []
     checked = 0
     seen = set()
-    for f in enumerate_admissible(bound):
+    for f in _admissible_upto(bound):
         key = min(h_orbit(f))
         if key in seen:
             continue

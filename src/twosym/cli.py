@@ -6,7 +6,7 @@ exploration, greedy minimization, catalogue generation and the named
 verification suites.  Exit codes: 0 success, 1 usage error, 2
 validation failure (bad or inadmissible input, a tuple whose
 complexity exceeds MAX_TUPLE_COMPLEXITY, a bound above its MAX_*
-ceiling, or an orbit node budget below 1), 3 suite failure.
+ceiling or below its floor), 3 suite failure.
 """
 
 from __future__ import annotations
@@ -38,9 +38,9 @@ from .tuples import (
 # it sits far above anything the library is exercised on (a few hundred).
 MAX_TUPLE_COMPLEXITY = 100_000
 
-# Largest `catalogue --max-complexity`.  Time grows about 2x and memory
-# about 1.7x per 4 steps of complexity: on a 2-vCPU VM the bound 29 took
-# 4-5 s and peaked at 40 MB, and the bound 33 took 9-10 s and 66 MB.
+# Largest `catalogue --max-complexity`.  Time grows about 2.5x and memory
+# about 1.5x per 4 steps of complexity: on a 2-vCPU VM the bound 29 took
+# 2.4 s and peaked at 29 MB, and the bound 33 took 6-7 s and 44 MB.
 MAX_CATALOGUE_COMPLEXITY = 33
 
 # Largest `orbit --max-nodes`: ten times the default.  On a 2-vCPU VM a
@@ -51,10 +51,12 @@ MAX_CATALOGUE_COMPLEXITY = 33
 MAX_ORBIT_NODES = 100_000
 
 
-def _at_most(value: int, limit: int, option: str) -> int:
-    """value, or a ValueError (exit 2) when it exceeds the limit."""
+def _within(value: int, limit: int, option: str, least: int = 1) -> int:
+    """value, or a ValueError (exit 2) outside [least, limit]."""
     if value > limit:
         raise ValueError(f"{option} {value} exceeds the limit {limit}")
+    if value < least:
+        raise ValueError(f"{option} {value} is below {least}")
     return value
 
 
@@ -174,13 +176,12 @@ def _orbit_dot(graph: OrbitGraph) -> str:
 
 
 def _cmd_orbit(args) -> int:
-    max_complexity = _at_most(
-        args.max_complexity, MAX_TUPLE_COMPLEXITY, "--max-complexity"
+    f = tuple_from_args(args.tuple)
+    max_complexity = _within(
+        args.max_complexity, MAX_TUPLE_COMPLEXITY, "--max-complexity", f.upsilon
     )
-    max_nodes = _at_most(args.max_nodes, MAX_ORBIT_NODES, "--max-nodes")
-    if max_nodes < 1:
-        raise ValueError(f"--max-nodes {max_nodes} is below 1")
-    graph = explore(tuple_from_args(args.tuple), max_complexity, max_nodes)
+    max_nodes = _within(args.max_nodes, MAX_ORBIT_NODES, "--max-nodes")
+    graph = explore(f, max_complexity, max_nodes)
     out = _orbit_dot(graph) if args.format == "dot" else _orbit_tsv(graph)
     print(out, end="")
     status = "closed" if graph.closed else (
@@ -200,7 +201,7 @@ def _cmd_minimize(args) -> int:
 
 def _cmd_catalogue(args) -> int:
     records = build_catalogue(
-        _at_most(args.max_complexity, MAX_CATALOGUE_COMPLEXITY, "--max-complexity")
+        _within(args.max_complexity, MAX_CATALOGUE_COMPLEXITY, "--max-complexity")
     )
     text = records_to_tsv(records)
     if args.out == "-":

@@ -19,9 +19,9 @@ canonical, sigma and sigma_neighbors wrap them and build a SixTuple
 only for a result the caller keeps.  Validation stays where a tuple can
 go wrong: a relabelling image of a valid tuple is valid, so orbit
 members are built unvalidated, but every move image goes through the
-validating SixTuple.reduce, sigma and sigma_neighbors test their input's
-admissibility, and the filter's count is checked on every orbit that is
-canonicalised.
+validating SixTuple.reduce, the filter's count is checked on every orbit
+that is canonicalised, and sigma and sigma_neighbors prove their input
+admissible (their kernels _sigma and _neighbour_fields do not).
 """
 
 from __future__ import annotations
@@ -218,6 +218,11 @@ def sigma(f: SixTuple) -> SixTuple:
     rebuilt from the guard table's strips (_move); an involution that
     commutes with psi2 and psi3."""
     require_admissible(f)
+    return _sigma(f)
+
+
+def _sigma(f: SixTuple) -> SixTuple:
+    """sigma on a tuple already proved admissible."""
     if f.q0 == 0:
         return f
     return SixTuple.reduce(*_move(f.h0, f.h1, f.h2, f.q0, f.q1, f.q2))

@@ -27,12 +27,12 @@ from .moves import (
     _canonical_fields,
     _neighbour_fields,
     _orbit_fields,
+    _sigma,
     canonical,
     delta,
     is_canonical,
     psi1,
     psi2,
-    sigma,
 )
 from .tuples import SixTuple, require_admissible, zero_q_count
 
@@ -114,9 +114,10 @@ def descent_minimal(f: SixTuple) -> bool:
 def descent_root(f: SixTuple) -> bool:
     """Move-based root test: every rotation whose move leaves the
     relabelling orbit strictly gains complexity."""
+    require_admissible(f)
     base = canonical(f)
     for g in _rotations(base):
-        if canonical(sigma(g)) != base and delta(g) <= 0:
+        if canonical(_sigma(g)) != base and delta(g) <= 0:
             return False
     return True
 
@@ -153,6 +154,11 @@ def is_root(f: SixTuple) -> bool:
     """
     _require_canonical(f, "is_root")
     require_admissible(f)
+    return _root(f)
+
+
+def _root(f: SixTuple) -> bool:
+    """is_root's closed form, on a tuple already checked."""
     h0, h1, h2 = f.h
     q0, q1, q2 = f.q
     m = h0 + h2
@@ -185,7 +191,7 @@ def minimize(f: SixTuple) -> SixTuple:
     while True:
         for g in _rotations(f):
             if delta(g) < 0:
-                f = canonical(sigma(g))
+                f = canonical(_sigma(g))
                 break
         else:
             return f
@@ -231,7 +237,7 @@ def ascend_witness(f: SixTuple) -> SixTuple:
                     break
             if witness is not None:
                 break
-            strands = [psi1(psi2(sigma(g))) for g in strands]
+            strands = [psi1(psi2(_sigma(g))) for g in strands]
     if witness is None:
         raise ValueError(f"confinement escape missing for non-trap {f}")
     if witness.upsilon != f.upsilon or delta(witness) <= 0:

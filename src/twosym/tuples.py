@@ -6,11 +6,13 @@ A tuple f = (h0,h1,h2; q0,q1,q2) describes a 4-coloured graph on three
 colour-3 edges do the same after shifting each C_i by q_i, so the shift
 map is an automorphism exchanging colours 2 and 3.  The h_i share one
 parity and the q_i the other, each q_i reduced mod 2l_i.
+
+Admissibility is proved where a tuple enters the library, not cached:
+the move and the relabellings keep it.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .graphs import ColouredGraph
@@ -202,7 +204,6 @@ def even_parities(f: SixTuple) -> list[int]:
     return [i for i in range(3) if (f.h[i] + f.q[i]) % 2 == 0]
 
 
-@functools.lru_cache(maxsize=None)
 def admissibility(f: SixTuple) -> AdmissibilityReport:
     """Check the two conditions beyond the constructor's invariants:
     each h_i + q_i odd, and exactly three {2,3}-residues, counted on the

@@ -7,6 +7,7 @@ import pytest
 
 from twosym import (
     SUITES,
+    SixTuple,
     assign_orbit_ids,
     build_catalogue,
     canonical,
@@ -20,6 +21,7 @@ from twosym import (
     records_to_tsv,
     run_suite,
 )
+from twosym import catalogue
 from twosym.catalogue import enumerate_candidates
 
 
@@ -50,10 +52,12 @@ def test_enumeration_is_ordered_and_complete():
     assert canon == [f for f in seen if canonical(f) == f]
 
 
-def test_admissibility_is_constant_on_relabelling_orbits():
+def test_admissibility_is_constant_on_relabelling_orbits(admissible_upto):
     # the canonical census tests the filter before admissibility, which
-    # is sound only if every orbit is all admissible or all not
-    verdict = {f: is_admissible(f) for f in enumerate_candidates(21)}
+    # is sound only if every orbit is all admissible or all not; the
+    # shared census holds the candidates that is_admissible accepts
+    admissible = set(admissible_upto(21))
+    verdict = {f: f in admissible for f in enumerate_candidates(21)}
     assert len(verdict) == 53_515
     for f, ok in verdict.items():
         for g in h_orbit(f):
@@ -121,6 +125,30 @@ def test_classify_record_validation():
         dataclasses.replace(record, minimal=False)  # root without minimal
     with pytest.raises(ValueError):
         classify_record(parse_tuple("(3,1,3;2,2,2)"))  # not canonical
+
+
+def test_catalogue_proves_each_scanned_candidate_once(admissibility_calls):
+    """The census scan proves admissibility once per candidate that passes
+    the representative filter; the orbit ids and the records reuse that
+    proof, and classifying an admissible tuple proves it by the H1 walk."""
+    assert len(build_catalogue(19)) == 1602
+    assert len(admissibility_calls) == 2716
+    admissibility_calls.clear()
+    classify_record(parse_tuple("(2,2,2;1,1,3)"))
+    assert admissibility_calls == []
+
+
+def test_laws_suite_reports_an_inadmissible_move_image(monkeypatch):
+    """The laws suite tests each move image's admissibility once, and
+    reports a failure instead of stopping."""
+    real = catalogue._sigma
+    start, image = parse_tuple("(1,3,3;2,2,2)"), SixTuple(1, 1, 1, 1, 1, 1)
+    monkeypatch.setattr(
+        catalogue, "_sigma", lambda f: image if f == start else real(f)
+    )
+    checked, failures, _ = catalogue._suite_laws(7)
+    assert checked == len(list(enumerate_admissible(7)))
+    assert f"move image {image} of {start} is not admissible" in failures
 
 
 def test_tsv_round_trip():

@@ -91,6 +91,12 @@ def test_catalogue_complexity_ceiling_exits_2(capsys, monkeypatch):
     assert started == []
     assert run(capsys, "catalogue", "--max-complexity", str(ceiling))[0] == 0
     assert started == [ceiling]
+    for low in ("0", "-3"):
+        code, out, err = run(capsys, "catalogue", "--max-complexity", low)
+        assert code == 2
+        assert out == ""
+        assert f"--max-complexity {low} is below 1" in err
+    assert started == [ceiling]
 
 
 @pytest.mark.parametrize(
@@ -101,11 +107,14 @@ def test_catalogue_complexity_ceiling_exits_2(capsys, monkeypatch):
          "--max-nodes"),
         (["--max-complexity", "40", "--max-nodes", "-3"], "--max-nodes"),
         (["--max-complexity", "40", "--max-nodes", "0"], "--max-nodes"),
+        (["--max-complexity", "6"], "--max-complexity"),
+        (["--max-complexity", "-3"], "--max-complexity"),
     ],
 )
 def test_orbit_ceilings_exit_2(capsys, monkeypatch, bounds, option):
     """Each orbit bound is checked before the exploration starts; a node
-    budget below 1 is refused like one above the ceiling."""
+    budget below 1 is refused like one above the ceiling, and so is a
+    complexity bound below the start's complexity, 7."""
     import twosym.cli as cli
 
     def unreachable(*args):
@@ -116,7 +125,8 @@ def test_orbit_ceilings_exit_2(capsys, monkeypatch, bounds, option):
     assert code == 2
     assert out == ""
     value = int(bounds[bounds.index(option) + 1])
-    reason = "below 1" if value < 1 else "exceeds the limit"
+    floor = 7 if option == "--max-complexity" else 1  # the start's complexity
+    reason = f"below {floor}" if value < floor else "exceeds the limit"
     assert option in err and reason in err
 
 

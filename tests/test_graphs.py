@@ -24,7 +24,6 @@ from twosym import (
     permute_colours,
     to_dot,
 )
-from twosym.catalogue import enumerate_admissible
 from twosym.graphs import _is_cp_map, _signatures, sphere_defects
 from twosym.moves import sigma
 from twosym.surgery import SWAP_01, build_gf
@@ -274,14 +273,14 @@ def block_fields(blocks):
     return [(b.side_colours, b.rung_colour, b.side_a, b.side_b, b.gluing) for b in blocks]
 
 
-def test_array_passes_agree_with_the_reference_walks():
+def test_array_passes_agree_with_the_reference_walks(admissible_upto):
     """On the split graph of every moving admissible tuple up to
     complexity 11 and of every moving sampled tuple, the block finder
     gives the reference's Block lists, gluing flags included, for every
     side pair and rung colour; components, residue_index and
     is_connected agree with the reference walk, also on a disconnected
     graph."""
-    tuples = [f for f in enumerate_admissible(11) if f.q0 != 0]
+    tuples = [f for f in admissible_upto(11) if f.q0 != 0]
     tuples += [f for f in SAMPLE if f.q0 != 0]
     graphs = [build_gf(f).graph for f in tuples]
     piece = graph("(1,1,1;0,0,0)")
@@ -350,14 +349,14 @@ def surgery_pairs(f):
             return
 
 
-def test_cp_isomorphic_agrees_with_all_anchors_on_surgery_pairs():
+def test_cp_isomorphic_agrees_with_all_anchors_on_surgery_pairs(admissible_upto):
     """Every pair the surgery check used to search, for the moving
     admissible tuples up to complexity 11: the signature-anchored search
     finds a map exactly when the all-anchors reference does, and each
     map it returns is a colour-preserving bijection."""
     pairs = [
         pair
-        for f in enumerate_admissible(11)
+        for f in admissible_upto(11)
         if f.q0 != 0
         for pair in surgery_pairs(f)
     ]

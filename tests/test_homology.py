@@ -10,7 +10,6 @@ from twosym import (
     AbelianGroupSignature,
     ConditionError,
     build_graph,
-    enumerate_admissible,
     h1,
     h1_of_tuple,
     h1_presentation,
@@ -168,11 +167,11 @@ def test_lens_family_calibration():
             assert h1_of_tuple(f) == expected
 
 
-def test_h1_of_tuple_matches_the_graph_route():
+def test_h1_of_tuple_matches_the_graph_route(admissible_upto):
     """The tuple kernel builds h1_presentation's matrix row for row, and
     so the same group, on every admissible tuple up to complexity 15."""
     checked = 0
-    for f in enumerate_admissible(15):
+    for f in admissible_upto(15):
         g = build_graph(f)
         assert h1_presentation_of_tuple(f) == h1_presentation(g), f
         assert h1_of_tuple(f) == h1(g), f
@@ -180,13 +179,13 @@ def test_h1_of_tuple_matches_the_graph_route():
     assert checked == 4477
 
 
-def test_h1_closed_form_matches_smith_route():
+def test_h1_closed_form_matches_smith_route(admissible_upto):
     """The closed form agrees with Smith reduction of the same relators on
     every admissible tuple up to complexity 19, and every group shape a
     genus-2 presentation allows occurs among them."""
     shapes = set()
     checked = 0
-    for f in enumerate_admissible(19):
+    for f in admissible_upto(19):
         rows = h1_presentation_of_tuple(f)
         group = h1_of_tuple(f)
         assert group == cokernel(rows, 3), f

@@ -7,23 +7,34 @@ import pytest
 from twosym import (
     ConditionError,
     SUITES,
+    TSV_COLUMNS,
     SixTuple,
+    ascend_witness,
+    build_gf,
     canonical,
     canonical_candidates,
+    classify_record,
     delta,
+    descent_root,
+    explore,
     h_orbit,
     is_admissible,
     is_canonical,
+    is_minimal,
+    is_root,
+    minimize,
     parse_tuple,
     psi,
     psi1,
     psi2,
     psi3,
+    records_from_tsv,
     sigma,
     sigma_neighbors,
+    verify_sigma_constructively,
 )
 from twosym import moves
-from twosym.catalogue import enumerate_admissible, enumerate_candidates
+from twosym.catalogue import enumerate_candidates
 from twosym.tuples import even_parities
 
 
@@ -37,20 +48,20 @@ def test_psi_formulas():
         psi(f, 4)
 
 
-def test_group_relations():
+def test_group_relations(admissible_upto):
     """psi1^3 = psi2^2 = psi3^2 = id and psi1 psi2 = psi2 psi1^2."""
-    for f in enumerate_admissible(9):
+    for f in admissible_upto(9):
         assert psi1(psi1(psi1(f))) == f
         assert psi2(psi2(f)) == f
         assert psi3(psi3(f)) == f
         assert psi1(psi2(f)) == psi2(psi1(psi1(f)))
 
 
-def test_orbit_sizes_divide_twelve():
+def test_orbit_sizes_divide_twelve(admissible_upto):
     assert len(h_orbit(parse_tuple("(1,1,1;0,0,0)"))) == 1
     assert len(h_orbit(parse_tuple("(1,1,3;2,0,2)"))) == 3
     assert len(h_orbit(parse_tuple("(1,3,3;2,2,2)"))) == 6
-    for f in enumerate_admissible(9):
+    for f in admissible_upto(9):
         assert 12 % len(h_orbit(f)) == 0
 
 
@@ -96,8 +107,8 @@ def test_canonical_known_values():
     assert canonical(parse_tuple("(3,1,5;4,2,2)")) == parse_tuple("(1,3,5;2,2,4)")
 
 
-def test_canonical_is_idempotent_and_orbit_constant():
-    for f in enumerate_admissible(9):
+def test_canonical_is_idempotent_and_orbit_constant(admissible_upto):
+    for f in admissible_upto(9):
         c = canonical(f)
         assert is_canonical(c)
         assert canonical(c) == c
@@ -119,8 +130,8 @@ def test_equal_h_photographs_need_both_groups():
     assert len(canonical_candidates(f)) == 1
 
 
-def test_unique_candidate_everywhere_small():
-    for f in enumerate_admissible(11):
+def test_unique_candidate_everywhere_small(admissible_upto):
+    for f in admissible_upto(11):
         assert len(canonical_candidates(f)) == 1
 
 
@@ -185,14 +196,14 @@ def test_sigma_known_values():
         assert sigma(parse_tuple(src)) == parse_tuple(dst)
 
 
-def test_sigma_is_an_involution_and_shifts_complexity():
-    for f in enumerate_admissible(11):
+def test_sigma_is_an_involution_and_shifts_complexity(admissible_upto):
+    for f in admissible_upto(11):
         assert sigma(sigma(f)) == f
         assert sigma(f).upsilon == f.upsilon + delta(f)
 
 
-def test_sigma_commutes_with_the_stabilising_relabellings():
-    for f in enumerate_admissible(9):
+def test_sigma_commutes_with_the_stabilising_relabellings(admissible_upto):
+    for f in admissible_upto(9):
         assert sigma(psi2(f)) == psi2(sigma(f))
         assert sigma(psi3(f)) == psi3(sigma(f))
 
@@ -220,11 +231,11 @@ def test_canonical_is_the_unique_passer_of_the_orbit():
         assert passers == [canonical(f)], f
 
 
-def test_sigma_neighbors_is_the_move_on_each_rotation():
+def test_sigma_neighbors_is_the_move_on_each_rotation(admissible_upto):
     """sigma_neighbors equals canonicalising the move of each rotation
     of the canonical form, on every admissible tuple up to 15."""
     count = 0
-    for f in enumerate_admissible(15):
+    for f in admissible_upto(15):
         count += 1
         c = canonical(f)
         expected = {canonical(sigma(g)) for g in (c, psi1(c), psi1(psi1(c)))}
@@ -233,13 +244,31 @@ def test_sigma_neighbors_is_the_move_on_each_rotation():
 
 
 def test_sigma_neighbors_rejects_inadmissible_tuples():
+    """Every entry point that takes a tuple from outside proves it
+    admissible, and raises ConditionError otherwise: on the inadmissible
+    candidates up to 9 and on a tuple whose every h_i + q_i is even.
+    The entry points that need a canonical tuple get the canonical ones."""
     bad = [f for f in enumerate_candidates(9) if not is_admissible(f)]
     bad.append(parse_tuple("(1,1,1;1,1,1)"))  # every h_i + q_i even
+    any_tuple = (
+        sigma, sigma_neighbors, minimize, descent_root, lambda f: explore(f, 40),
+        build_gf, verify_sigma_constructively,
+    )
+    canonical_only = (is_minimal, is_root, ascend_witness, classify_record)
+    canonical_bad = [f for f in bad if is_canonical(f)]
+    assert len(canonical_bad) == 19
     for f in bad:
-        with pytest.raises(ConditionError):
-            sigma_neighbors(f)
-        with pytest.raises(ConditionError):
-            sigma(f)
+        for entry in any_tuple:
+            with pytest.raises(ConditionError):
+                entry(f)
+    for f in canonical_bad:
+        for entry in canonical_only:
+            with pytest.raises(ConditionError):
+                entry(f)
+    # a catalogue row is proved by the H1 walk before its flags are read
+    row = "(1,1,1;1,1,1)\t3\tfalse\t\tfalse\tfalse\t0\t\t"
+    with pytest.raises(ConditionError):
+        records_from_tsv("\t".join(TSV_COLUMNS) + "\n" + row + "\n")
 
 
 @pytest.mark.parametrize("verdict", [True, False])
@@ -317,7 +346,7 @@ ROW_CASES = [
 ]
 
 
-def test_move_matches_the_four_case_reference():
+def test_move_matches_the_four_case_reference(admissible_upto):
     """sigma and delta agree with the case-by-case rewriting on every
     admissible tuple up to complexity 21, on SAMPLE and on tuples that
     hit each guard row."""
@@ -326,7 +355,7 @@ def test_move_matches_the_four_case_reference():
     rows = [parse_tuple(text) for text, _ in ROW_CASES]
     for f, (text, guard) in zip(rows, ROW_CASES):
         assert is_admissible(f) and guard(f.h0, f.h2, f.q0), text
-    census = list(enumerate_admissible(21))
+    census = admissible_upto(21)
     assert sum(1 for f in census if f.q0 != 0) == 28_108
     for f in census + SAMPLE + rows:
         assert delta(f) == reference_delta(f), f

@@ -7,7 +7,6 @@ import pytest
 from twosym import (
     OrbitGraph,
     TrapWitness,
-    admissibility,
     ascend_witness,
     canonical,
     delta,
@@ -235,11 +234,10 @@ def test_explore_is_the_walk_over_sigma_neighbors(text, max_complexity, max_node
     assert len(expected.nodes) > 1 or expected.closed
 
 
-def test_explore_checks_admissibility_of_its_start_only():
-    admissibility.cache_clear()
+def test_explore_checks_admissibility_of_its_start_only(admissibility_calls):
     g = explore(parse_tuple("(1,3,3;2,2,2)"), 200, 500)
     assert len(g.nodes) == 500
-    assert admissibility.cache_info().currsize == 1
+    assert len(admissibility_calls) == 1
 
 
 def test_orbit_graph_rejects_overfull_degree():

@@ -27,7 +27,6 @@ from twosym import (
     sigma_neighbors,
     verify_sigma_constructively,
 )
-from twosym.catalogue import enumerate_admissible
 from twosym.graphs import ColouredGraph
 from twosym.homology import cokernel, h1_presentation_of_tuple
 
@@ -85,11 +84,11 @@ def test_sampled_sigma_neighbors_is_the_move_on_each_rotation():
         assert sigma_neighbors(f) == sorted(expected - {c}), f
 
 
-def test_move_images_are_admissible():
+def test_move_images_are_admissible(admissible_upto):
     """The move keeps admissibility, which lets explore check only its
     start: every move image of every admissible tuple up to 15 and of
     every relabelling of SAMPLE is admissible."""
-    tuples = list(enumerate_admissible(15))
+    tuples = admissible_upto(15)
     tuples += [g for f in SAMPLE for g in h_orbit(f)]
     for f in tuples:
         assert is_admissible(sigma(f)), f
@@ -123,7 +122,7 @@ def test_sampled_constructive_surgery():
         assert report.ok, (f, report.failures)
 
 
-def test_trusted_graphs_pass_validation(monkeypatch):
+def test_trusted_graphs_pass_validation(monkeypatch, admissible_upto):
     """Cancellations and colour renamings skip validation; every graph
     they build for the four surgery blocks of each moving admissible
     tuple up to complexity 11 and of each moving sampled tuple, by
@@ -136,7 +135,7 @@ def test_trusted_graphs_pass_validation(monkeypatch):
         return stepped[-1]
 
     monkeypatch.setattr(twosym.graphs, "cancel_dipole", cancel_dipole)
-    tuples = [f for f in enumerate_admissible(11) if f.q0 != 0]
+    tuples = [f for f in admissible_upto(11) if f.q0 != 0]
     tuples += [f for f in SAMPLE if f.q0 != 0]
     checked = 0
     for f in tuples:

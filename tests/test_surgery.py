@@ -17,7 +17,6 @@ from twosym import (
     table_row,
     verify_sigma_constructively,
 )
-from twosym.catalogue import enumerate_admissible
 from twosym.graphs import _cp_search, _signatures
 
 
@@ -58,10 +57,10 @@ def test_build_gf_rejects_identity_case():
         build_gf(parse_tuple("(1,1,3;0,0,2)"))
 
 
-def test_strip_invariants():
+def test_strip_invariants(admissible_upto):
     """The two half-cycle strips partition the first cycle and the
     measured counts reproduce the closed-form row everywhere."""
-    for f in enumerate_admissible(11):
+    for f in admissible_upto(11):
         if f.q0 == 0:
             continue
         trace = build_gf(f)
@@ -106,10 +105,10 @@ def test_worked_verifications(src, dst, block, swap):
     assert report.orientation_swap == swap
 
 
-def test_verification_sweep():
+def test_verification_sweep(admissible_upto):
     """Every admissible small tuple with a genuine move verifies."""
     checked = 0
-    for f in enumerate_admissible(9):
+    for f in admissible_upto(9):
         if f.q0 == 0:
             continue
         report = verify_sigma_constructively(f)
@@ -118,7 +117,7 @@ def test_verification_sweep():
     assert checked > 100
 
 
-def test_two_searches_per_verified_tuple(monkeypatch):
+def test_two_searches_per_verified_tuple(monkeypatch, admissible_upto):
     """Only the two cross blocks are searched against the moved graph;
     every other match is checked against a map the surgery provides."""
     searches = []
@@ -129,7 +128,7 @@ def test_two_searches_per_verified_tuple(monkeypatch):
 
     monkeypatch.setattr(twosym.surgery, "_cp_search", record)
     moving = 0
-    for f in enumerate_admissible(11):
+    for f in admissible_upto(11):
         if f.q0 == 0:
             continue
         before = len(searches)
@@ -141,7 +140,7 @@ def test_two_searches_per_verified_tuple(monkeypatch):
     assert len(searches) == 1184
 
 
-def test_three_signature_passes_per_verified_tuple(monkeypatch):
+def test_three_signature_passes_per_verified_tuple(monkeypatch, admissible_upto):
     """The moved graph's signatures are computed once per tuple and
     shared by both cross-block searches, each of which computes its own
     cancelled graph's."""
@@ -153,7 +152,7 @@ def test_three_signature_passes_per_verified_tuple(monkeypatch):
 
     monkeypatch.setattr(twosym.graphs, "_signatures", record)
     monkeypatch.setattr(twosym.surgery, "_signatures", record)
-    for f in enumerate_admissible(11):
+    for f in admissible_upto(11):
         if f.q0 == 0:
             continue
         before = len(passes)
