@@ -15,7 +15,6 @@ from twosym import (
     build_graph,
     embedding_euler,
     is_contracted,
-    is_crystallization,
     is_gem,
     parse_tuple,
     rho_symmetry,
@@ -30,7 +29,7 @@ print(f"admissibility  {admissibility(f)}")
 
 g = build_graph(f)
 print(f"\ngem: {is_gem(g)}   contracted: {is_contracted(g)}   "
-      f"crystallization: {is_crystallization(g)}")
+      f"crystallization: {is_gem(g) and is_contracted(g)}")
 print(f"bipartite (orientable): {g.bipartition() is not None}")
 print(f"{{0,1}}-residues: {sorted(len(c) for c in g.residues((0, 1)))}")
 print(f"{{2,3}}-residues: {len(g.residues((2, 3)))}  (three means genus two)")

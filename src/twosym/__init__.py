@@ -25,9 +25,7 @@ from .graphs import (
     cp_isomorphic,
     embedding_euler,
     find_blocks,
-    find_gluing_blocks,
     is_contracted,
-    is_crystallization,
     is_gem,
     permute_colours,
     to_dot,

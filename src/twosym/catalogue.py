@@ -34,7 +34,6 @@ from .moves import (
     _canonical_fields,
     _neighbour_fields,
     _passes,
-    _sigma,
     canonical_candidates,
     delta,
     h_orbit,
@@ -42,15 +41,16 @@ from .moves import (
     psi1,
     psi2,
     psi3,
+    sigma,
 )
 from .orbits import (
     TrapWitness,
-    _minimal,
-    _root,
     ascend_witness,
     descent_minimal,
     descent_root,
     explore,
+    is_minimal,
+    is_root,
     is_trap,
 )
 from .surgery import build_gf, verify_sigma_constructively
@@ -117,14 +117,15 @@ def enumerate_admissible(
     count runs on one candidate per relabelling orbit.  That order is
     sound because admissibility is constant on each orbit: a relabelling
     renames the colours and cycles of the graph and keeps every h_i + q_i
-    odd, so the filter's one pick has the orbit's admissibility."""
+    odd, so the filter's one pick has the orbit's admissibility.  Each
+    yielded tuple carries its proof (see tuples)."""
     if canonical:
         candidates = _filtered_candidates(max_complexity)
     else:
         candidates = enumerate_candidates(max_complexity)
     for f in candidates:
         if is_admissible(f):
-            yield f
+            yield f._mark()
 
 
 def enumerate_canonical(max_complexity: int) -> Iterator[SixTuple]:
@@ -179,7 +180,8 @@ def classify_record(f: SixTuple, orbit_id: int | None = None) -> CatalogueRecord
     """Classify one canonical tuple; the H1 walk first proves it admissible."""
     group = h1_of_tuple(f)
     return CatalogueRecord(
-        f, f.upsilon, is_trap(f), _minimal(f), _root(f), group, orbit_id, _notes(f)
+        f, f.upsilon, is_trap(f), is_minimal(f), is_root(f),
+        group, orbit_id, _notes(f),
     )
 
 
@@ -263,10 +265,10 @@ def _flag(cell: str) -> bool:
 
 
 def records_from_tsv(text: str) -> list[CatalogueRecord]:
-    """Inverse of records_to_tsv.  The trap witness, the minimal and
-    root flags, H1 and the warnings are recomputed from the tuple and
-    checked against the stored columns, so a parsed catalogue equals the
-    one that was written."""
+    """Inverse of records_to_tsv.  Each row's tuple is classified afresh
+    by classify_record, whose H1 walk proves it admissible, and every
+    stored column is checked against that record, so a parsed catalogue
+    equals the one that was written."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].split("\t") != list(TSV_COLUMNS):
         raise ValueError("missing or malformed header row")
@@ -276,30 +278,21 @@ def records_from_tsv(text: str) -> list[CatalogueRecord]:
         if len(cells) != len(TSV_COLUMNS):
             raise ValueError(f"expected {len(TSV_COLUMNS)} columns: {ln!r}")
         f = parse_tuple(cells[0])
-        group = parse_signature(cells[6])
-        if group != h1_of_tuple(f):  # the H1 walk proves f admissible
-            raise ValueError(f"h1 column disagrees with the homology of {f}")
-        trap = is_trap(f)
+        record = classify_record(f, int(cells[7]) if cells[7] else None)
+        trap = record.trap
         stored = f"{trap.r},{trap.s}" if trap else ""
+        if int(cells[1]) != record.upsilon:
+            raise ValueError(f"upsilon column disagrees with the tuple {f}")
         if _flag(cells[2]) != (trap is not None) or cells[3] != stored:
             raise ValueError(f"trap columns disagree with the scan on {f}")
-        notes = _notes(f)
-        if cells[8] != "; ".join(notes):
-            raise ValueError(f"warnings column disagrees with the notes on {f}")
-        record = CatalogueRecord(
-            f,
-            int(cells[1]),
-            trap,
-            _flag(cells[4]),
-            _flag(cells[5]),
-            group,
-            int(cells[7]) if cells[7] else None,
-            notes,
-        )
-        if record.minimal != _minimal(f):
+        if _flag(cells[4]) != record.minimal:
             raise ValueError(f"minimal column disagrees with is_minimal on {f}")
-        if record.root != _root(f):
+        if _flag(cells[5]) != record.root:
             raise ValueError(f"root column disagrees with is_root on {f}")
+        if parse_signature(cells[6]) != record.h1:
+            raise ValueError(f"h1 column disagrees with the homology of {f}")
+        if cells[8] != "; ".join(record.warnings):
+            raise ValueError(f"warnings column disagrees with the notes on {f}")
         records.append(record)
     return records
 
@@ -334,15 +327,15 @@ def _suite_laws(bound: int):
     checked = 0
     for f in _admissible_upto(bound):
         checked += 1
-        moved = _sigma(f)
+        moved = sigma(f)
         if not is_admissible(moved):
             failures.append(f"move image {moved} of {f} is not admissible")
             continue
-        if _sigma(moved) != f:
+        if sigma(moved) != f:
             failures.append(f"move not involutive on {f}")
-        if _sigma(psi2(f)) != psi2(moved):
+        if sigma(psi2(f)) != psi2(moved):
             failures.append(f"move does not commute with reversal on {f}")
-        if _sigma(psi3(f)) != psi3(moved):
+        if sigma(psi3(f)) != psi3(moved):
             failures.append(f"move does not commute with negation on {f}")
         if psi1(psi1(psi1(f))) != f:
             failures.append(f"rotation cubed is not the identity on {f}")
@@ -372,7 +365,7 @@ def _suite_homology_invariance(bound: int):
     for index, f in enumerate(_admissible_upto(bound)):
         checked += 1
         base = h1_of_tuple(f)
-        moved = _sigma(f)
+        moved = sigma(f)
         if moved.upsilon != f.upsilon + delta(f):
             failures.append(f"complexity change wrong under the move on {f}")
         for name, image in (
@@ -398,9 +391,9 @@ def _suite_minimality_agreement(bound: int):
     checked = 0
     for f in enumerate_canonical(bound):
         checked += 1
-        if _minimal(f) != descent_minimal(f):
+        if is_minimal(f) != descent_minimal(f):
             failures.append(f"minimality forms disagree on {f}")
-        if _root(f) != descent_root(f):
+        if is_root(f) != descent_root(f):
             failures.append(f"root forms disagree on {f}")
     return checked, failures, []
 
@@ -419,7 +412,7 @@ def _suite_trap_closure(bound: int):
             for g in (f, witness.base):
                 if g.q0 == 0:
                     continue
-                again = is_trap(_sigma(g))
+                again = is_trap(sigma(g))
                 if again is None or (again.r, again.s) != (witness.r, witness.s):
                     failures.append(f"move changed the trap type of {g}")
         elif zero_q_count(f) <= 1:

@@ -247,10 +247,6 @@ def is_contracted(g: ColouredGraph) -> bool:
     return all(len(g.hat(c)) == 1 for c in COLOURS)
 
 
-def is_crystallization(g: ColouredGraph) -> bool:
-    return is_gem(g) and is_contracted(g)
-
-
 def embedding_euler(g: ColouredGraph, order: tuple[int, int, int, int]) -> int:
     """Euler characteristic of the regular surface embedding whose faces
     are the bicoloured cycles of consecutive colours in the cyclic order."""
@@ -566,13 +562,6 @@ def _find_blocks(
             )
         )
     return sorted(blocks, key=lambda b: (b.side_a, b.side_b))
-
-
-def find_gluing_blocks(
-    g: ColouredGraph, side_colours: tuple[int, int], rung_colour: int
-) -> list[Block]:
-    """Blocks whose sides also lie in distinct hat-(rung colour) components."""
-    return [b for b in find_blocks(g, side_colours, rung_colour) if b.gluing]
 
 
 def _kept(g: ColouredGraph, block: Block) -> list[int]:

@@ -255,7 +255,9 @@ def h1_presentation_of_tuple(f: SixTuple) -> list[list[int]]:
             if v == v0:
                 break
         rows.append(row)
-    if len(rows) != 3 or even_parities(f):
+    if len(rows) == 3 and not even_parities(f):
+        f._mark()  # the walk has decided admissibility
+    else:
         require_admissible(f)  # raises, naming the failed condition
     rows.append([1, 0, 0])
     return rows

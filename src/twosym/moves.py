@@ -16,29 +16,30 @@ The relabelling orbit, the representative filter and the move's
 rewriting are kernels on plain int 6-tuples (_orbit_fields, _passes,
 _canonical_fields, _move, _neighbour_fields); h_orbit, is_canonical,
 canonical, sigma and sigma_neighbors wrap them and build a SixTuple
-only for a result the caller keeps.  Validation stays where a tuple can
-go wrong: a relabelling image of a valid tuple is valid, so orbit
-members are built unvalidated, but every move image goes through the
-validating SixTuple.reduce, the filter's count is checked on every orbit
-that is canonicalised, and sigma and sigma_neighbors prove their input
-admissible (their kernels _sigma and _neighbour_fields do not).
+only for a result the caller keeps.  Every tuple they return is an
+image of their input and inherits its admissibility proof
+(SixTuple._image); sigma, sigma_neighbors and delta prove their input,
+which costs nothing on a proved tuple.  A relabelling image of a valid
+tuple is valid, so orbit members are built unvalidated, but every move
+image goes through the validating SixTuple.reduce, and the filter's
+count is checked on every orbit that is canonicalised.
 """
 
 from __future__ import annotations
 
-from .tuples import ConditionError, SixTuple, even_parities, require_admissible
+from .tuples import SixTuple, require_admissible
 
 
 def psi1(f: SixTuple) -> SixTuple:
-    return SixTuple.reduce(f.h1, f.h2, f.h0, f.q1, f.q2, f.q0)
+    return f._image(SixTuple.reduce(f.h1, f.h2, f.h0, f.q1, f.q2, f.q0))
 
 
 def psi2(f: SixTuple) -> SixTuple:
-    return SixTuple.reduce(f.h2, f.h1, f.h0, f.q0, f.q2, f.q1)
+    return f._image(SixTuple.reduce(f.h2, f.h1, f.h0, f.q0, f.q2, f.q1))
 
 
 def psi3(f: SixTuple) -> SixTuple:
-    return SixTuple.reduce(f.h0, f.h1, f.h2, -f.q0, -f.q1, -f.q2)
+    return f._image(SixTuple.reduce(f.h0, f.h1, f.h2, -f.q0, -f.q1, -f.q2))
 
 
 def psi(f: SixTuple, k: int) -> SixTuple:
@@ -74,7 +75,7 @@ def _orbit_fields(h: tuple[int, int, int], q: tuple[int, int, int]) -> set[tuple
 
 def h_orbit(f: SixTuple) -> list[SixTuple]:
     """Orbit of f under the relabelling group, sorted (size divides 12)."""
-    return [SixTuple._trusted(img) for img in sorted(_orbit_fields(f.h, f.q))]
+    return [f._image(SixTuple._trusted(g)) for g in sorted(_orbit_fields(f.h, f.q))]
 
 
 # -- canonical orbit representative -----------------------------------------
@@ -159,7 +160,7 @@ def _canonical_fields(h: tuple[int, int, int], q: tuple[int, int, int]) -> tuple
 def canonical(f: SixTuple) -> SixTuple:
     """The distinguished member of f's relabelling orbit: the one orbit
     member that passes the representative filter (see _canonical_fields)."""
-    return SixTuple._trusted(_canonical_fields(f.h, f.q))
+    return f._image(SixTuple._trusted(_canonical_fields(f.h, f.q)))
 
 
 # -- the 2-symmetric move ----------------------------------------------------
@@ -203,11 +204,10 @@ def delta(f: SixTuple) -> int:
     """Complexity change of the move: upsilon(sigma(f)) - upsilon(f),
     which is h1 - L for the cross-block length L of the guard table.
 
-    Needs the h+q parity condition so the guard table is exhaustive.
+    Proves f admissible: the h+q parity condition makes the guard table
+    exhaustive.
     """
-    even = even_parities(f)
-    if even:
-        raise ConditionError("h+q parity", f"h{even[0]}+q{even[0]} even in {f}")
+    require_admissible(f)
     if f.q0 == 0:
         return 0
     return f.h1 - _strips(f.h0, f.h2, f.q0)[0]
@@ -218,21 +218,16 @@ def sigma(f: SixTuple) -> SixTuple:
     rebuilt from the guard table's strips (_move); an involution that
     commutes with psi2 and psi3."""
     require_admissible(f)
-    return _sigma(f)
-
-
-def _sigma(f: SixTuple) -> SixTuple:
-    """sigma on a tuple already proved admissible."""
     if f.q0 == 0:
         return f
-    return SixTuple.reduce(*_move(f.h0, f.h1, f.h2, f.q0, f.q1, f.q2))
+    return f._image(SixTuple.reduce(*_move(f.h0, f.h1, f.h2, f.q0, f.q1, f.q2)))
 
 
 def _neighbour_fields(base: tuple) -> list[tuple]:
     """sigma_neighbors of the canonical int 6-tuple base, as sorted int
     6-tuples.  base must be admissible and is not checked: the move
-    keeps admissibility, so a walk that checked its start (explore) need
-    not check the tuples it reaches.
+    keeps admissibility, so a walk that proved its start (explore) need
+    not prove the tuples it reaches.
 
     The rotations psi1 and psi1^2 are index permutations that carry each
     q_i with its modulus, so they need no reduction; a rotation with
@@ -252,9 +247,10 @@ def sigma_neighbors(f: SixTuple) -> list[SixTuple]:
     """Canonical forms reachable by one move from any rotation of f,
     excluding f's own canonical form; sorted.
 
-    Admissibility is constant on relabelling orbits, so it is tested
-    once, on the canonical form.
+    Admissibility is constant on relabelling orbits, so it is proved on
+    the canonical form, whose proof the neighbours inherit.
     """
     base = _canonical_fields(f.h, f.q)
-    require_admissible(SixTuple._trusted(base))
-    return [SixTuple._trusted(g) for g in _neighbour_fields(base)]
+    c = f._image(SixTuple._trusted(base))
+    require_admissible(c)
+    return [c._image(SixTuple._trusted(g)) for g in _neighbour_fields(base)]

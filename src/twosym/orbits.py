@@ -15,6 +15,10 @@ orbit is a *root*.  Both notions have closed-form tests on the canonical
 coordinates, plus slower move-based forms used as cross-checks.
 explore() walks the orbit graph breadth-first within complexity and node
 bounds.
+
+Every public function here proves its input admissible through
+tuples.require_admissible, which costs nothing on a proved tuple, and
+the tuples it returns inherit that proof.
 """
 
 from __future__ import annotations
@@ -27,12 +31,12 @@ from .moves import (
     _canonical_fields,
     _neighbour_fields,
     _orbit_fields,
-    _sigma,
     canonical,
     delta,
     is_canonical,
     psi1,
     psi2,
+    sigma,
 )
 from .tuples import SixTuple, require_admissible, zero_q_count
 
@@ -90,6 +94,7 @@ def is_trap(f: SixTuple) -> TrapWitness | None:
     declared trap-free; the orbit is scanned in sorted order so the
     returned witness is deterministic.
     """
+    require_admissible(f)
     for g in sorted(_orbit_fields(f.h, f.q)):
         r, h1, s, q0, q1, q2 = g
         if r != h1 or r > s or q1 != 0:
@@ -98,7 +103,7 @@ def is_trap(f: SixTuple) -> TrapWitness | None:
         d = math.gcd(q0 + q2, n)
         T = frozenset({0, *range(r + 1, s)})
         if all((q + k * d) % n in T for k in range(n // d) for q in (q0, q2)):
-            return TrapWitness(r, s, SixTuple._trusted(g), d, T)
+            return TrapWitness(r, s, f._image(SixTuple._trusted(g)), d, T)
     return None
 
 
@@ -108,6 +113,7 @@ def is_trap(f: SixTuple) -> TrapWitness | None:
 def descent_minimal(f: SixTuple) -> bool:
     """Move-based minimality: no rotation of f admits a move that drops
     the complexity."""
+    require_admissible(f)
     return all(delta(g) >= 0 for g in _rotations(f))
 
 
@@ -117,7 +123,7 @@ def descent_root(f: SixTuple) -> bool:
     require_admissible(f)
     base = canonical(f)
     for g in _rotations(base):
-        if canonical(_sigma(g)) != base and delta(g) <= 0:
+        if canonical(sigma(g)) != base and delta(g) <= 0:
             return False
     return True
 
@@ -131,11 +137,6 @@ def is_minimal(f: SixTuple) -> bool:
     """
     _require_canonical(f, "is_minimal")
     require_admissible(f)
-    return _minimal(f)
-
-
-def _minimal(f: SixTuple) -> bool:
-    """is_minimal's closed form, on a tuple already checked."""
     h0, h1, h2 = f.h
     q2 = f.q2
     return q2 < h0 or q2 > h1 + h2 - h0 or (h0 == h1 and h0 < q2 < h2)
@@ -152,13 +153,8 @@ def is_root(f: SixTuple) -> bool:
     and q2 exchanged.  The minimality-agreement suite checks it against
     descent_root.
     """
-    _require_canonical(f, "is_root")
-    require_admissible(f)
-    return _root(f)
-
-
-def _root(f: SixTuple) -> bool:
-    """is_root's closed form, on a tuple already checked."""
+    if not is_minimal(f):
+        return False
     h0, h1, h2 = f.h
     q0, q1, q2 = f.q
     m = h0 + h2
@@ -176,7 +172,7 @@ def _root(f: SixTuple) -> bool:
         and q0 != half
         and (q1 != 0 or q0 != (half - q2) % m)
     )
-    return _minimal(f) and not tied
+    return not tied
 
 
 def minimize(f: SixTuple) -> SixTuple:
@@ -191,7 +187,7 @@ def minimize(f: SixTuple) -> SixTuple:
     while True:
         for g in _rotations(f):
             if delta(g) < 0:
-                f = canonical(_sigma(g))
+                f = canonical(sigma(g))
                 break
         else:
             return f
@@ -237,7 +233,7 @@ def ascend_witness(f: SixTuple) -> SixTuple:
                     break
             if witness is not None:
                 break
-            strands = [psi1(psi2(_sigma(g))) for g in strands]
+            strands = [psi1(psi2(sigma(g))) for g in strands]
     if witness is None:
         raise ValueError(f"confinement escape missing for non-trap {f}")
     if witness.upsilon != f.upsilon or delta(witness) <= 0:
@@ -288,9 +284,9 @@ def explore(
     Neighbours beyond max_complexity are not entered (their source is
     marked frontier); once max_nodes tuples are collected no new ones
     are added and the graph is marked truncated.  A closed result is the
-    complete orbit, which every trap must reach.  Only the start's
-    admissibility is checked (see moves._neighbour_fields), and the walk
-    runs on int 6-tuples.
+    complete orbit, which every trap must reach.  Only the start is
+    proved (see moves._neighbour_fields); the nodes inherit its proof,
+    and the walk runs on int 6-tuples.
     """
     require_admissible(f)
     start = _canonical_fields(f.h, f.q)
@@ -313,7 +309,7 @@ def explore(
                 nodes.add(nb)
                 queue.append(nb)
             edges.add((min(g, nb), max(g, nb)))
-    made = {g: SixTuple._trusted(g) for g in sorted(nodes)}
+    made = {g: f._image(SixTuple._trusted(g)) for g in sorted(nodes)}
     return OrbitGraph(
         made[start],
         tuple(made.values()),

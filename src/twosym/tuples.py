@@ -7,8 +7,12 @@ colour-3 edges do the same after shifting each C_i by q_i, so the shift
 map is an automorphism exchanging colours 2 and 3.  The h_i share one
 parity and the q_i the other, each q_i reduced mod 2l_i.
 
-Admissibility is proved where a tuple enters the library, not cached:
-the move and the relabellings keep it.
+A tuple carries its admissibility proof: the _proved flag, not a field,
+so comparison and hashing ignore it.  require_admissible, the census
+scan and the H1 walk set it once they have decided; images under the
+relabellings and the move, which keep admissibility, inherit it
+(SixTuple._image).  Every public entry point calls require_admissible,
+free on a proved tuple; admissibility and is_admissible always decide.
 """
 
 from __future__ import annotations
@@ -35,6 +39,8 @@ class SixTuple:
     q1: int
     q2: int
 
+    _proved = False  # a class default; _mark sets it per instance
+
     def __post_init__(self) -> None:
         h, q = self.h, self.q
         if any(x < 1 for x in h):
@@ -57,6 +63,16 @@ class SixTuple:
         d = f.__dict__
         d["h0"], d["h1"], d["h2"], d["q0"], d["q1"], d["q2"] = fields
         return f
+
+    def _mark(self) -> SixTuple:
+        """Record that self is proved admissible."""
+        self.__dict__["_proved"] = True
+        return self
+
+    def _image(self, g: SixTuple) -> SixTuple:
+        """g, an image of self under a relabelling or the move, which keep
+        admissibility: g carries self's proof."""
+        return g._mark() if self._proved else g
 
     @property
     def h(self) -> tuple[int, int, int]:
@@ -220,9 +236,14 @@ def is_admissible(f: SixTuple) -> bool:
 
 
 def require_admissible(f: SixTuple) -> None:
+    """Prove f admissible, once: a proved tuple returns at once, and any
+    other raises ConditionError naming the first failed condition."""
+    if f._proved:
+        return
     rep = admissibility(f)
     if not rep.ok:
         raise ConditionError(rep.failures[0].split(":")[0], f"{f} {rep}")
+    f._mark()
 
 
 # -- structural checks -------------------------------------------------------

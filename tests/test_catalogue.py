@@ -138,13 +138,33 @@ def test_catalogue_proves_each_scanned_candidate_once(admissibility_calls):
     assert admissibility_calls == []
 
 
+@pytest.mark.parametrize(
+    "suite,proofs",
+    [
+        ("laws", 3094 + 1953),  # the scan, then each move image's own test
+        ("sigma-constructive", 1155),
+        ("minimality-agreement", 715),
+        ("trap-closure", 324),
+    ],
+)
+def test_suites_prove_each_scanned_candidate_once(admissibility_calls, suite, proofs):
+    """A suite's proofs are its scan's, one per candidate: the move and
+    relabelling images, the surgery and the minimality and trap checks
+    reuse them.  The laws suite also tests every move image for real."""
+    catalogue._admissible_upto.cache_clear()
+    body, bound = SUITES[suite]
+    _, failures, _ = body(bound)
+    assert failures == []
+    assert len(admissibility_calls) == proofs
+
+
 def test_laws_suite_reports_an_inadmissible_move_image(monkeypatch):
     """The laws suite tests each move image's admissibility once, and
     reports a failure instead of stopping."""
-    real = catalogue._sigma
+    real = catalogue.sigma
     start, image = parse_tuple("(1,3,3;2,2,2)"), SixTuple(1, 1, 1, 1, 1, 1)
     monkeypatch.setattr(
-        catalogue, "_sigma", lambda f: image if f == start else real(f)
+        catalogue, "sigma", lambda f: image if f == start else real(f)
     )
     checked, failures, _ = catalogue._suite_laws(7)
     assert checked == len(list(enumerate_admissible(7)))

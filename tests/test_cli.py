@@ -148,6 +148,13 @@ def test_sigma(capsys):
     assert out.strip() == "(3,1,5;4,2,2)"
 
 
+def test_sigma_trace_proves_its_tuple_once(capsys, admissibility_calls):
+    """The move, its complexity change and the surgery reuse one proof."""
+    code, _, _ = run(capsys, "sigma", "(4,194,74;65,33,265)", "--trace")
+    assert code == 0
+    assert len(admissibility_calls) == 1
+
+
 def test_sigma_trace(capsys):
     code, out, _ = run(capsys, "sigma", "(1,3,3;2,2,2)", "--trace")
     assert code == 0

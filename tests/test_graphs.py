@@ -16,9 +16,7 @@ from twosym import (
     cp_isomorphic,
     embedding_euler,
     find_blocks,
-    find_gluing_blocks,
     is_contracted,
-    is_crystallization,
     is_gem,
     parse_tuple,
     permute_colours,
@@ -226,13 +224,12 @@ def test_basic_residue_structure():
 def test_gem_and_crystallization_flags():
     g = graph("(1,1,1;0,0,0)")
     assert g.n == 6
-    assert is_gem(g) and is_contracted(g) and is_crystallization(g)
+    assert is_gem(g) and is_contracted(g)
     assert sphere_defects(g) == []
     # five {2,3}-residues: still a gem, no longer contracted
     bad = graph("(3,3,3;0,0,2)")
     assert is_gem(bad)
     assert not is_contracted(bad)
-    assert not is_crystallization(bad)
 
 
 @pytest.mark.parametrize(
@@ -251,7 +248,7 @@ def test_blocks_match_the_construction(text, expected):
 def test_blocks_in_a_crystallization_are_not_gluing():
     # a single hat-component means no block can join distinct ones
     g = graph("(1,3,3;2,2,2)")
-    assert find_gluing_blocks(g, (0, 1), 2) == []
+    assert [b for b in find_blocks(g, (0, 1), 2) if b.gluing] == []
 
 
 def test_cancel_requires_a_genuine_dipole():

@@ -15,6 +15,7 @@ from twosym import (
     canonical_candidates,
     classify_record,
     delta,
+    descent_minimal,
     descent_root,
     explore,
     h_orbit,
@@ -22,6 +23,7 @@ from twosym import (
     is_canonical,
     is_minimal,
     is_root,
+    is_trap,
     minimize,
     parse_tuple,
     psi,
@@ -243,6 +245,15 @@ def test_sigma_neighbors_is_the_move_on_each_rotation(admissible_upto):
     assert count == 4477
 
 
+# the public entry points that take any tuple, and those that need a
+# canonical one
+ANY_TUPLE = (
+    sigma, sigma_neighbors, minimize, descent_root, lambda f: explore(f, 40),
+    build_gf, verify_sigma_constructively, descent_minimal, is_trap, delta,
+)
+CANONICAL_ONLY = (is_minimal, is_root, ascend_witness)
+
+
 def test_sigma_neighbors_rejects_inadmissible_tuples():
     """Every entry point that takes a tuple from outside proves it
     admissible, and raises ConditionError otherwise: on the inadmissible
@@ -250,25 +261,33 @@ def test_sigma_neighbors_rejects_inadmissible_tuples():
     The entry points that need a canonical tuple get the canonical ones."""
     bad = [f for f in enumerate_candidates(9) if not is_admissible(f)]
     bad.append(parse_tuple("(1,1,1;1,1,1)"))  # every h_i + q_i even
-    any_tuple = (
-        sigma, sigma_neighbors, minimize, descent_root, lambda f: explore(f, 40),
-        build_gf, verify_sigma_constructively,
-    )
-    canonical_only = (is_minimal, is_root, ascend_witness, classify_record)
     canonical_bad = [f for f in bad if is_canonical(f)]
     assert len(canonical_bad) == 19
     for f in bad:
-        for entry in any_tuple:
+        for entry in ANY_TUPLE:
             with pytest.raises(ConditionError):
                 entry(f)
     for f in canonical_bad:
-        for entry in canonical_only:
+        for entry in (*CANONICAL_ONLY, classify_record):
             with pytest.raises(ConditionError):
                 entry(f)
     # a catalogue row is proved by the H1 walk before its flags are read
     row = "(1,1,1;1,1,1)\t3\tfalse\t\tfalse\tfalse\t0\t\t"
     with pytest.raises(ConditionError):
         records_from_tsv("\t".join(TSV_COLUMNS) + "\n" + row + "\n")
+
+
+def test_entry_points_prove_their_input_once(admissibility_calls):
+    """An entry point proves a fresh admissible tuple exactly once, and
+    the images it goes on to use (rotations, moves, canonical forms)
+    reuse that proof; classify_record's H1 walk decides without one."""
+    for entry in ANY_TUPLE + CANONICAL_ONLY:
+        admissibility_calls.clear()
+        entry(parse_tuple("(1,3,3;2,2,2)"))
+        assert len(admissibility_calls) == 1, entry
+    admissibility_calls.clear()
+    classify_record(parse_tuple("(1,3,3;2,2,2)"))
+    assert admissibility_calls == []
 
 
 @pytest.mark.parametrize("verdict", [True, False])

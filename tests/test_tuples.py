@@ -10,7 +10,7 @@ from twosym import (
     embedding_euler,
     h_orbit,
     is_admissible,
-    is_crystallization,
+    is_contracted,
     is_gem,
     parse_tuple,
     rho_symmetry,
@@ -115,7 +115,7 @@ def test_graph_shape():
     g = build_graph(f)
     assert g.n == 2 * f.upsilon
     assert is_gem(g)
-    assert is_crystallization(g)
+    assert is_contracted(g)
     assert g.bipartition() is not None  # orientable
     # labels enumerate the cycles C_i in order
     assert g.label(0) == (0, 0)

@@ -29,10 +29,17 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 REJECTS = "tests/test_moves.py::test_sigma_neighbors_rejects_inadmissible_tuples"
+ENTRY_ONCE = "tests/test_moves.py::test_entry_points_prove_their_input_once"
 ONCE = "tests/test_catalogue.py::test_catalogue_proves_each_scanned_candidate_once"
+SUITE_ONCE = (
+    "tests/test_catalogue.py::test_suites_prove_each_scanned_candidate_once[{}]"
+)
+TRACE_ONCE = "tests/test_cli.py::test_sigma_trace_proves_its_tuple_once"
 LAWS = "tests/test_catalogue.py::test_laws_suite_reports_an_inadmissible_move_image"
 H1_REJECTS = "tests/test_homology.py::test_h1_of_tuple_rejects_inadmissible_tuples"
+H1_CELL = "tests/test_catalogue.py::test_tsv_rejects_a_wrong_h1_cell"
 GUARD = "    _require_canonical(f, \"{who}\")\n    require_admissible(f)\n"
+IMAGE = "        return g._mark() if self._proved else g\n"
 
 
 @dataclass(frozen=True)
@@ -49,17 +56,37 @@ def _drop(text: str) -> tuple[tuple[str, str], ...]:
 
 
 MUTANTS = (
+    # an entry point that skips its proof answers on inadmissible input,
+    # or proves the same tuple again through the images it goes on to use
     Mutant(
         "sigma skips its proof",
         "src/twosym/moves.py",
-        _drop("    require_admissible(f)\n    return _sigma(f)"),
+        _drop("    require_admissible(f)\n    if f.q0 == 0:\n        return f\n"),
         REJECTS,
     ),
     Mutant(
         "sigma_neighbors skips its proof",
         "src/twosym/moves.py",
-        (("    require_admissible(SixTuple._trusted(base))\n", ""),),
+        (("    require_admissible(c)\n", ""),),
         REJECTS,
+    ),
+    Mutant(
+        "delta skips its proof",
+        "src/twosym/moves.py",
+        _drop("    require_admissible(f)\n    if f.q0 == 0:\n        return 0\n"),
+        REJECTS,
+    ),
+    Mutant(
+        "is_trap skips its proof",
+        "src/twosym/orbits.py",
+        _drop("    require_admissible(f)\n    for g in sorted(_orbit_fields"),
+        REJECTS,
+    ),
+    Mutant(
+        "descent_minimal skips its proof",
+        "src/twosym/orbits.py",
+        _drop("    require_admissible(f)\n    return all(delta(g)"),
+        ENTRY_ONCE,
     ),
     Mutant(
         "is_minimal skips its proof",
@@ -68,9 +95,9 @@ MUTANTS = (
         REJECTS,
     ),
     Mutant(
-        "is_root skips its proof",
+        "is_root skips is_minimal's checks",
         "src/twosym/orbits.py",
-        _drop(GUARD.format(who="is_root")),
+        (("    if not is_minimal(f):\n        return False\n", ""),),
         REJECTS,
     ),
     Mutant(
@@ -83,13 +110,13 @@ MUTANTS = (
         "minimize skips its proof",
         "src/twosym/orbits.py",
         _drop("    require_admissible(f)\n    f = canonical(f)\n"),
-        REJECTS,
+        ENTRY_ONCE,
     ),
     Mutant(
         "descent_root skips its proof",
         "src/twosym/orbits.py",
         _drop("    require_admissible(f)\n    base = canonical(f)\n"),
-        REJECTS,
+        ENTRY_ONCE,
     ),
     Mutant(
         "explore skips its proof",
@@ -108,11 +135,52 @@ MUTANTS = (
         "src/twosym/surgery.py",
         (
             ("from .moves import _rebuild, _strips, sigma",
-             "from .moves import _rebuild, _sigma, _strips, sigma"),
-            ("    expected = sigma(f)\n", "    expected = _sigma(f)\n"),
+             "from .moves import _move, _rebuild, _strips, sigma"),
+            ("    expected = sigma(f)\n",
+             "    expected = f if f.q0 == 0 else"
+             " SixTuple.reduce(*_move(*f.h, *f.q))\n"),
         ),
         REJECTS,
     ),
+    # the proof flag: each write, the early return, and inheritance
+    Mutant(
+        "require_admissible does not record its proof",
+        "src/twosym/tuples.py",
+        (("    f._mark()\n", ""),),
+        TRACE_ONCE,
+    ),
+    Mutant(
+        "require_admissible proves a proved tuple again",
+        "src/twosym/tuples.py",
+        (("    if f._proved:\n        return\n", ""),),
+        TRACE_ONCE,
+    ),
+    Mutant(
+        "the scan does not mark what it yields",
+        "src/twosym/catalogue.py",
+        (("            yield f._mark()\n", "            yield f\n"),),
+        SUITE_ONCE.format("sigma-constructive-1155"),
+    ),
+    Mutant(
+        "the H1 walk does not mark what it decided",
+        "src/twosym/homology.py",
+        (("        f._mark()  # the walk has decided admissibility\n",
+          "        pass\n"),),
+        ONCE,
+    ),
+    Mutant(
+        "images do not inherit the proof",
+        "src/twosym/tuples.py",
+        ((IMAGE, "        return g\n"),),
+        SUITE_ONCE.format("minimality-agreement-715"),
+    ),
+    Mutant(
+        "images are marked whatever their source",
+        "src/twosym/tuples.py",
+        ((IMAGE, "        return g._mark()\n"),),
+        REJECTS,
+    ),
+    # the H1 walk, the catalogue and the laws suite
     Mutant(
         "the H1 walk does not raise on an inadmissible tuple",
         "src/twosym/homology.py",
@@ -127,21 +195,22 @@ MUTANTS = (
             ("    group = h1_of_tuple(f)\n",
              "    from .tuples import build_graph\n    group = h1(build_graph(f))\n"),
         ),
-        REJECTS,
-    ),
-    Mutant(
-        "classify_record proves admissibility again",
-        "src/twosym/catalogue.py",
-        (("is_trap(f), _minimal(f), _root(f), group",
-          "is_trap(f), is_minimal(f), is_root(f), group"),),
         ONCE,
     ),
     Mutant(
-        "records_from_tsv skips the H1 walk",
+        "classify_record proves before the H1 walk",
         "src/twosym/catalogue.py",
-        (("        if group != h1_of_tuple(f):  # the H1 walk proves f admissible\n",
-          "        if False and group != h1_of_tuple(f):\n"),),
-        REJECTS,
+        (("    group = h1_of_tuple(f)\n",
+          "    from .tuples import require_admissible\n"
+          "    require_admissible(f)\n    group = h1_of_tuple(f)\n"),),
+        ONCE,
+    ),
+    Mutant(
+        "records_from_tsv does not check the h1 column",
+        "src/twosym/catalogue.py",
+        (("        if parse_signature(cells[6]) != record.h1:\n",
+          "        if False:\n"),),
+        H1_CELL,
     ),
     Mutant(
         "assign_orbit_ids proves each tuple again",
@@ -149,7 +218,7 @@ MUTANTS = (
         (("        for nb in _neighbour_fields(_canonical_fields(k[:3], k[3:])):\n",
           "        for nb in map(lambda g: (*g.h, *g.q),"
           " sigma_neighbors(SixTuple._trusted(k))):\n"),
-         ("    _sigma,\n", "    _sigma,\n    sigma_neighbors,\n")),
+         ("    sigma,\n)", "    sigma,\n    sigma_neighbors,\n)")),
         ONCE,
     ),
     Mutant(
